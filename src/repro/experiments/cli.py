@@ -251,16 +251,21 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=100,
         metavar="K",
-        help="bid arrivals per cycle (synthetic source)",
+        help="broker only: bid arrivals per cycle (synthetic source)",
     )
     parser.add_argument(
         "--trace",
         type=str,
         default=None,
         metavar="PATH",
-        help="replay a recorded trace (.json or .jsonl) instead of generating",
+        help=(
+            "broker only: replay a recorded trace (.json or .jsonl) "
+            "instead of generating"
+        ),
     )
-    parser.add_argument("--seed", type=int, default=2019, help="master seed")
+    parser.add_argument(
+        "--seed", type=int, default=2019, help="broker only: master seed"
+    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -281,7 +286,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="solver worker processes (>= 2 enables the pool)",
+        help="broker only: solver worker processes (>= 2 enables the pool)",
     )
     parser.add_argument(
         "--cache-size",
@@ -293,7 +298,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--lp-screen",
         action="store_true",
         help=(
-            "screen each exact batch MILP with its LP relaxation bound: "
+            "broker only: screen each exact batch MILP with its LP relaxation bound: "
             "provably hopeless batches are declined without an integer "
             "solve (decisions unchanged)"
         ),
@@ -384,6 +389,24 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``serve`` flags that only one of its two modes reads; the other mode
+#: rejects them rather than silently ignoring them.
+_BROKER_ONLY = ("--lp-screen", "--workers", "--trace", "--requests", "--seed")
+_GATEWAY_ONLY = ("--slot-seconds", "--conn-buffer")
+
+
+def _given_options(argv: Sequence[str] | None) -> set[str]:
+    """The ``serve`` option names present on the command line itself.
+
+    Re-parses ``argv`` with every default suppressed, so an option left
+    at its default is told apart from one given with the default value.
+    """
+    probe = build_serve_parser()
+    for action in probe._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(probe.parse_args(argv)))
+
+
 def _parse_listen(value: str, flag: str = "--listen") -> tuple[str, int]:
     """Split a ``HOST:PORT`` address (IPv6 hosts may be bracketed)."""
     host, sep, port = value.rpartition(":")
@@ -421,6 +444,15 @@ def run_serve(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --wal")
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
+    flags, reason = (
+        (_BROKER_ONLY, "cannot be used with --listen")
+        if args.listen is not None
+        else (_GATEWAY_ONLY, "requires --listen")
+    )
+    given = _given_options(argv)
+    for flag in flags:
+        if flag.lstrip("-").replace("-", "_") in given:
+            parser.error(f"{flag} {reason}")
     if args.listen is not None:
         return _run_serve_live(parser, args)
     try:
@@ -598,7 +630,7 @@ def _run_serve_live(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         print(
             f"gateway listening on {bound_host}:{bound_port} "
             f"({args.topology}, {horizon} cycle(s) x {args.duration} slots "
-            f"x {args.slot_seconds}s, window {args.window})",
+            f"x {config.slot_seconds}s, window {args.window})",
             file=sys.stderr,
             flush=True,
         )

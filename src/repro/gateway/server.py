@@ -10,10 +10,11 @@ architecture is one event loop with three kinds of actors:
   full — shed it with an immediate response;
 * **one decision loop** sleeps to :class:`~repro.gateway.WallClock`
   deadlines; at each admission-window close it drains the queue and
-  decides the batch exactly through :class:`LiveCycleEngine` (the same
-  incremental MILP, decision cache and integer-unit charging as the
-  offline-clocked broker), then routes each verdict back through its
-  connection's bounded :class:`ResponseChannel`;
+  decides the batch through :class:`~repro.service.engine.CycleEngine`
+  (the one engine the simulated-clock broker drives too: the same
+  incremental MILP, decision cache and integer-unit charging), then
+  routes each verdict back through its connection's bounded
+  :class:`ResponseChannel`;
 * **connection writers** (one per client) pump responses with real
   ``drain()`` backpressure; a reader too slow to keep up overflows its
   channel and is disconnected rather than allowed to stall decisions.
@@ -46,7 +47,6 @@ from typing import Any
 from repro.decomp.partition import PARTITION_MODES
 from repro.exceptions import GatewayError, ProtocolError
 from repro.gateway.backpressure import GatewayCounters, PendingBid, ResponseChannel
-from repro.gateway.engine import LiveCycleEngine
 from repro.gateway.protocol import (
     PROTOCOL_VERSION,
     bye_message,
@@ -56,11 +56,14 @@ from repro.gateway.protocol import (
     parse_bid_line,
 )
 from repro.gateway.wallclock import WallClock
-from repro.resilience import CircuitBreaker, CycleBudget
+from repro.resilience import CycleBudget
 from repro.service.broker import BrokerConfig, _StateWriter, _make_topology
 from repro.service.cache import DecisionCache
+from repro.service.engine import CycleEngine
 from repro.service.ingest import AdmissionQueue, PushSource
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
+from repro.shard.live import ShardedLiveEngine
+from repro.shard.recovery import shard_fingerprint
 from repro.state import (
     WAL_FORMAT,
     FaultPlan,
@@ -111,7 +114,7 @@ class GatewayConfig:
     snapshot_every: int = 1
     fsync: str = "batch"
     resume: bool = False
-    # Sharded serving: shards > 1 swaps the single LiveCycleEngine for a
+    # Sharded serving: shards > 1 swaps the single CycleEngine for a
     # ShardedLiveEngine (repro.shard.live) — per-source-DC sub-engines
     # coordinated through a shared bandwidth ledger.
     shards: int = 1
@@ -185,9 +188,12 @@ class GatewayConfig:
 
         This is what the WAL fingerprint is computed over, so a gateway
         journal refuses to resume under a changed decision-relevant
-        configuration through exactly the broker's guard.  Live-only
-        fields (address, ``slot_seconds``, buffers) are execution levers
-        and deliberately absent, like ``workers`` for the broker.
+        configuration through exactly the broker's guard, and what
+        :meth:`CycleEngine.from_config` builds the single-shard engine
+        from.  Live-only fields (address, ``slot_seconds``, buffers) are
+        execution levers and deliberately absent, like ``workers`` for
+        the broker; the resilience levers ride along but, like
+        ``cache_size``, never enter the fingerprint.
         """
         return BrokerConfig(
             topology=self.topology,
@@ -205,6 +211,10 @@ class GatewayConfig:
             wal_path=self.wal_path,
             snapshot_every=self.snapshot_every,
             fsync=self.fsync,
+            cache_size=self.cache_size,
+            cycle_budget=self.cycle_budget,
+            breaker_failures=self.breaker_failures,
+            breaker_reset=self.breaker_reset,
         )
 
     def clock(self) -> WallClock:
@@ -280,7 +290,7 @@ class GatewayServer:
         #: exact traffic this gateway served (see ingest.PushSource).
         self.arrivals = PushSource(self.config.slots_per_cycle)
         self.crashed: BaseException | None = None
-        self._engine: LiveCycleEngine | None = None
+        self._engine: CycleEngine | None = None
         self._clock: WallClock | None = None
         self._queue = AdmissionQueue(self.config.queue_capacity)
         self._pending_ids: set[int] = set()
@@ -312,10 +322,6 @@ class GatewayServer:
             if config.shards > 1:
                 # Sharding changes decisions (partitioned MILPs), so the
                 # WAL refuses to splice runs with different shard setups.
-                # Imported here: repro.shard pulls in this module's
-                # package via the live engine.
-                from repro.shard.recovery import shard_fingerprint
-
                 fingerprint = shard_fingerprint(
                     fingerprint, config.shards, config.partition, "live"
                 )
@@ -355,14 +361,6 @@ class GatewayServer:
             self.telemetry.record_cycle(result.cycle, result.profit)
         self.telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
 
-        cache = (
-            DecisionCache(config.cache_size) if config.cache_size > 0 else None
-        )
-        budget = (
-            CycleBudget(config.cycle_budget)
-            if config.cycle_budget is not None
-            else None
-        )
         check_cancelled = None
         if self.faults is not None:
             faults = self.faults
@@ -370,9 +368,14 @@ class GatewayServer:
             def check_cancelled() -> None:
                 faults.maybe_hang_solver()
 
+        hooks = dict(
+            cache=(
+                DecisionCache(config.cache_size) if config.cache_size > 0 else None
+            ),
+            on_batch=self._on_batch,
+            check_cancelled=check_cancelled,
+        )
         if config.shards > 1:
-            from repro.shard.live import ShardedLiveEngine
-
             self._engine = ShardedLiveEngine(
                 self.topology,
                 config.slots_per_cycle,
@@ -380,36 +383,20 @@ class GatewayServer:
                 partition=config.partition,
                 k_paths=config.k_paths,
                 time_limit=config.time_limit,
-                cache=cache,
                 max_batch=config.max_batch,
                 fast_path=config.fast_path,
-                on_batch=self._on_batch,
-                budget=budget,
+                budget=(
+                    CycleBudget(config.cycle_budget)
+                    if config.cycle_budget is not None
+                    else None
+                ),
                 breaker_failures=config.breaker_failures,
                 breaker_reset=config.breaker_reset,
-                check_cancelled=check_cancelled,
+                **hooks,
             )
         else:
-            breaker = (
-                CircuitBreaker(
-                    failure_threshold=config.breaker_failures,
-                    reset_seconds=config.breaker_reset,
-                )
-                if config.breaker_failures > 0
-                else None
-            )
-            self._engine = LiveCycleEngine(
-                self.topology,
-                config.slots_per_cycle,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                cache=cache,
-                max_batch=config.max_batch,
-                fast_path=config.fast_path,
-                on_batch=self._on_batch,
-                budget=budget,
-                breaker=breaker,
-                check_cancelled=check_cancelled,
+            self._engine = CycleEngine.from_config(
+                self.topology, config.broker_config(), **hooks
             )
         if next_cycle > 0:
             self._engine.start_cycle(next_cycle)

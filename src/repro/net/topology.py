@@ -40,12 +40,16 @@ class Topology:
         self.graph = DiGraph()
         self._capacity: dict[EdgeKey, int | None] = {}
         self.regions: dict[NodeId, str] = dict(regions or {})
+        #: (source, target, k) -> candidate paths; cleared on every
+        #: structural change, since edge weights (prices) order the paths.
+        self._paths: dict[tuple[NodeId, NodeId, int], list[Path]] = {}
 
     # ----------------------------------------------------------- construction
 
     def add_datacenter(self, node: NodeId, region: str | None = None) -> None:
         """Add a data center; optionally record its region."""
         self.graph.add_node(node)
+        self._paths.clear()
         if region is not None:
             self.regions[node] = region
 
@@ -67,6 +71,7 @@ class Topology:
             raise TopologyError(f"link price must be >= 0, got {price!r}")
         if capacity is not None and (not isinstance(capacity, int) or capacity < 0):
             raise TopologyError(f"capacity must be a non-negative int, got {capacity!r}")
+        self._paths.clear()
         self.graph.add_edge(a, b, price)
         self._capacity[(a, b)] = capacity
         if bidirectional:
@@ -125,8 +130,19 @@ class Topology:
     def candidate_paths(
         self, source: NodeId, target: NodeId, k: int = 3
     ) -> list[Path]:
-        """Up to ``k`` cheapest simple paths ``source -> target`` (the set P_i)."""
-        return k_shortest_paths(self.graph, source, target, k)
+        """Up to ``k`` cheapest simple paths ``source -> target`` (the set P_i).
+
+        Memoized per topology: every instance, batch and cycle served over
+        this topology shares one enumeration — one list, which callers
+        must not mutate — per (source, target, k).
+        """
+        key = (source, target, k)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self._paths[key] = k_shortest_paths(
+                self.graph, source, target, k
+            )
+        return paths
 
     # ------------------------------------------------------------------ misc
 

@@ -16,6 +16,7 @@ from repro.service.broker import (
 )
 from repro.service.cache import DecisionCache
 from repro.service.clock import CycleClock, SimClock, Tick
+from repro.service.engine import CycleEngine
 from repro.service.ingest import (
     AdmissionQueue,
     ArrivalSource,
@@ -37,6 +38,7 @@ __all__ = [
     "CycleResult",
     "run_cycle",
     "DecisionCache",
+    "CycleEngine",
     "CycleClock",
     "SimClock",
     "Tick",

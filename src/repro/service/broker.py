@@ -6,10 +6,12 @@ and must accept (with a path) or decline each one before its window
 starts.  The broker runs rolling billing cycles on a simulated clock
 (:class:`~repro.service.clock.SimClock`), ingests each cycle's bid stream
 (:mod:`repro.service.ingest`), batches arrivals into admission windows,
-and decides every batch *exactly* with the incremental MILP of
-:func:`repro.core.online.build_incremental_spm` — the same integer-unit
-charging the offline solutions use, so broker profit is directly
-comparable to (and upper-bounded by) offline OPT on the same instance.
+and pushes each window into the :class:`~repro.service.engine.CycleEngine`
+every front end shares, which decides every batch *exactly* with the
+incremental MILP of :func:`repro.core.online.build_incremental_spm` —
+the same integer-unit charging the offline solutions use, so broker
+profit is directly comparable to (and upper-bounded by) offline OPT on
+the same instance.
 
 Scaling levers, all orthogonal to the decision logic:
 
@@ -30,24 +32,18 @@ future performance work measures against.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.instance import SPMInstance
-from repro.core.online import commit_decision, solve_batch
-from repro.core.schedule import Schedule
-from repro.exceptions import SolverTimeoutError
-from repro.lp.result import SolveStatus
 from repro.net.topologies import abilene, b4, sub_b4
 from repro.net.topology import Topology
-from repro.resilience import CircuitBreaker, CycleBudget, DegradationLadder
 from repro.service import pool as pool_mod
 from repro.service.cache import DecisionCache
 from repro.service.clock import SimClock
+from repro.service.engine import CycleEngine, CycleResult
 from repro.service.ingest import AdmissionQueue, ArrivalSource, GeneratorSource
 from repro.service.pool import SolverPool
 from repro.service.telemetry import BatchRecord, TelemetryCollector
@@ -113,9 +109,9 @@ class BrokerConfig:
     (``None`` = unbounded).  ``fast_path`` selects the array-native batch
     model build (default; decision-identical to the expression build,
     kept as the reference).  ``lp_screen`` enables the LP relaxation-bound
-    screen for exact batch solves (:func:`repro.core.online.solve_batch`):
-    hopeless batches are declined with a certificate instead of paying
-    for an integer solve — decisions and profit are unchanged.
+    screen for the engine's exact batch solves: hopeless batches are
+    declined with a certificate instead of paying for an integer solve —
+    decisions and profit are unchanged.
 
     Durability (see :mod:`repro.state`): setting ``wal_path`` makes the
     broker journal every admission decision and cycle commit to a
@@ -207,298 +203,89 @@ class BrokerConfig:
         )
 
 
-@dataclass
-class CycleResult:
-    """One billing cycle's ledger: counts, money, and the full assignment.
-
-    ``accepted + declined + shed == num_requests``; ``revenue``/``cost``/
-    ``profit`` use the same peak-based integer-unit charging as the offline
-    solutions.  ``assignment`` maps every request id to its chosen path (or
-    ``None``), so callers can rebuild the :class:`Schedule` locally — the
-    worker pool ships this compact result instead of whole schedules.
-    ``purchased`` is the cycle's final bandwidth purchase: charged integer
-    units per (nonzero) edge index — the ledger the durability layer
-    journals and the crash-equivalence tests compare exactly.
-    """
-
-    cycle: int
-    num_requests: int
-    accepted: int
-    declined: int
-    shed: int
-    revenue: float
-    cost: float
-    profit: float
-    wall_seconds: float
-    batches: list[BatchRecord]
-    assignment: dict[int, int | None]
-    purchased: dict[int, float] = field(default_factory=dict)
-
-
 def run_cycle(
     topology: Topology,
     requests: RequestSet,
     *,
     cycle_index: int = 0,
     window: int = 1,
-    k_paths: int = 3,
-    time_limit: float | None = None,
-    cache: DecisionCache | None = None,
     queue_capacity: int | None = None,
-    max_batch: int | None = None,
-    check_cancelled=None,
-    fast_path: bool = True,
-    lp_screen: bool = False,
-    on_batch=None,
     clock=None,
-    instance: SPMInstance | None = None,
-    dual_prices: np.ndarray | None = None,
-    budget: CycleBudget | None = None,
-    ladder: DegradationLadder | None = None,
+    engine: CycleEngine | None = None,
+    **engine_options,
 ) -> CycleResult:
-    """Serve one billing cycle end to end; the broker's core loop.
+    """Serve one billing cycle end to end: a clock pushing arrivals.
 
-    Deterministic given its inputs: batches form in arrival order, every
-    decision is an exact MILP (or an exact cache replay), and the final
-    accounting charges the ceiling of each edge's realized peak load.
+    Walks ``clock`` (default: a fresh :class:`SimClock` over the cycle's
+    slots, ``window`` slots per admission window — ``window`` is ignored
+    when a clock is passed) and, at every window, offers the bids that
+    start in it to a bounded :class:`AdmissionQueue`, then pushes the
+    drained queue and the window's shed count into
+    :meth:`CycleEngine.decide`.  Deterministic given its inputs.
 
-    ``clock`` injects any :class:`~repro.service.clock.CycleClock`
-    implementation for the window cadence (default: a fresh
-    :class:`SimClock` over the cycle's slots — ``window`` is ignored when
-    a clock is passed, since the clock owns the window structure).
+    ``engine`` is a long-lived :class:`CycleEngine` whose cache, ladder
+    and hooks persist across cycles; it serves ``cycle_index`` (opened
+    here unless it is already the engine's open cycle over as many slots
+    as ``requests``).  Without one, a fresh engine is built from
+    ``engine_options`` — any :class:`CycleEngine` keyword: ``k_paths``,
+    ``time_limit`` (``None`` means unlimited; the config-level default
+    is :data:`DEFAULT_TIME_LIMIT`), ``cache``, ``max_batch``,
+    ``check_cancelled``, ``fast_path``, ``lp_screen``, ``on_batch``,
+    ``dual_prices``, ``budget``, ``breaker``.
 
-    ``time_limit`` caps each batch solve in seconds; ``None`` means
-    *unlimited* (the config-level default is
-    :data:`DEFAULT_TIME_LIMIT` — see ``BrokerConfig.time_limit``).
-    Degrades gracefully under ``time_limit`` pressure instead of crashing
-    the serving loop: a limit-hit solve with a feasible incumbent keeps
-    the incumbent (recorded ``suboptimal``); a limit-hit solve with no
-    incumbent declines the whole batch (recorded ``timed_out``).  Only
-    proven-optimal decisions enter the cache.
-
-    Resilience: passing ``budget`` (restarted at cycle entry) or a
-    prebuilt ``ladder`` (budget lifecycle owned by the caller — the
-    sharded broker shares one budget across shard ladders) routes every
-    batch through the :class:`~repro.resilience.ladder.DegradationLadder`
-    instead: solves get shrinking budget slices, and a limit-hit or
-    budget-starved batch is decided by a degraded rung (LP rounding,
-    then greedy value-density) rather than declined.  Each record's
-    ``rung`` says which rung answered.
-
-    ``on_batch`` (when given) is invoked with each :class:`BatchRecord`
-    the moment its decision is committed — the write-ahead hook the
-    durability layer uses to journal decisions as they are made rather
-    than at cycle end.
-
-    ``instance`` (when given) must be the prebuilt
-    :class:`SPMInstance` over exactly ``topology``/``requests`` — callers
-    that need the instance afterwards (the sharded broker posts its loads
-    to the bandwidth ledger) pass it in to avoid a second path
-    enumeration.  ``dual_prices`` steers the *decisions* only: batch
-    MILPs solve against ``u_e + dual_prices`` (a zero-copy
-    :meth:`~SPMInstance.reprice` view) while every ledger figure —
-    revenue, cost, profit, purchased units — stays on the true prices.
-    Cache keys fold a digest of the duals, so decisions made under
-    different prices never alias.
+    Shed bids are listed in the result's ``assignment`` as ``None``, so
+    ``assignment`` covers every request of the cycle.
     """
     t0 = time.perf_counter()
-    if ladder is None and budget is not None:
-        budget.restart()
-        ladder = DegradationLadder(
-            budget=budget,
-            time_limit=time_limit,
-            fast_path=fast_path,
-            lp_screen=lp_screen,
+    if engine is None:
+        engine = CycleEngine(topology, requests.num_slots, **engine_options)
+    elif engine_options:
+        raise TypeError(
+            f"run_cycle: {sorted(engine_options)} configure the engine; "
+            "pass them to CycleEngine instead"
         )
-    if instance is None:
-        instance = SPMInstance.build(topology, requests, k_paths=k_paths)
-    decision_instance = instance
-    dual_digest = b""
-    if dual_prices is not None:
-        dual_prices = np.asarray(dual_prices, dtype=float)
-        if np.any(dual_prices):
-            decision_instance = instance.reprice(instance.prices + dual_prices)
-            dual_digest = hashlib.blake2b(
-                np.ascontiguousarray(dual_prices).tobytes(), digest_size=16
-            ).digest()
+    if engine.cycle != cycle_index or engine.slots_per_cycle != requests.num_slots:
+        engine.start_cycle(cycle_index, num_slots=requests.num_slots)
     if clock is None:
         clock = SimClock(requests.num_slots, window=window)
-    committed = np.zeros((instance.num_edges, instance.num_slots))
-    charged = np.zeros(instance.num_edges)
-    assignment: dict[int, int | None] = {}
-    queue = AdmissionQueue(queue_capacity)
-    batches: list[BatchRecord] = []
-    prices = instance.prices
-
     by_start: dict[int, list] = {}
     for req in requests:
         by_start.setdefault(req.start, []).append(req)
-
+    queue = AdmissionQueue(queue_capacity)
+    shed_ids: list[int] = []
     for tick in clock.windows(0):
-        shed_before = queue.shed
+        shed_before = len(shed_ids)
         for slot in tick.slots:
             for req in by_start.get(slot, ()):
                 if not queue.offer(req):
-                    assignment[req.request_id] = None
-        window_shed = queue.shed - shed_before
-
-        drained_any = False
-        while queue:
-            batch = queue.drain(max_batch)
-            batch_ids = [r.request_id for r in batch]
-            solver_start = time.perf_counter()
-            decision = None
-            hit = False
-            timed_out = False
-            suboptimal = False
-            screened = False
-            rung = "cache"
-            key = None
-            if cache is not None:
-                key = cache.make_key(instance, batch_ids, committed, charged)
-                if dual_digest:
-                    key = (key[0] + dual_digest, key[1])
-                decision = cache.get(key)
-                hit = decision is not None
-            if decision is None and ladder is not None:
-                outcome = ladder.decide(
-                    decision_instance,
-                    batch_ids,
-                    committed,
-                    charged,
-                    check_cancelled=check_cancelled,
-                )
-                decision = list(outcome.choices)
-                timed_out = outcome.timed_out
-                suboptimal = outcome.suboptimal
-                screened = outcome.screened
-                rung = outcome.rung
-                if cache is not None and outcome.cacheable:
-                    cache.put(key, decision)
-            elif decision is None:
-                rung = "exact"
-                try:
-                    outcome = solve_batch(
-                        decision_instance,
-                        batch_ids,
-                        committed,
-                        charged,
-                        time_limit=time_limit,
-                        check_cancelled=check_cancelled,
-                        fast_path=fast_path,
-                        lp_screen=lp_screen,
-                    )
-                except SolverTimeoutError:
-                    # No incumbent within the limit: decline the batch and
-                    # keep serving — never crash the broker cycle.
-                    decision = [None] * len(batch_ids)
-                    timed_out = True
-                else:
-                    decision = list(outcome.choices)
-                    suboptimal = outcome.suboptimal
-                    screened = outcome.screened
-                    if cache is not None and outcome.status is SolveStatus.OPTIMAL:
-                        cache.put(key, decision)
-            solver_seconds = time.perf_counter() - solver_start
-
-            cost_before = float(prices @ charged)
-            accepted = commit_decision(
-                instance, batch_ids, decision, committed, charged
-            )
-            cost_after = float(prices @ charged)
-            assignment.update(zip(batch_ids, decision))
-            revenue = sum(
-                instance.request(rid).value
-                for rid, path in zip(batch_ids, decision)
-                if path is not None
-            )
-            record = BatchRecord(
-                cycle=cycle_index,
-                window_start=tick.window_start,
-                size=len(batch_ids),
-                accepted=accepted,
-                declined=len(batch_ids) - accepted,
-                shed=0 if drained_any else window_shed,
-                revenue=revenue,
-                incremental_cost=cost_after - cost_before,
-                solver_seconds=solver_seconds,
-                cache_hit=hit,
-                timed_out=timed_out,
-                suboptimal=suboptimal,
-                rung=rung,
-                screened=screened,
-            )
-            batches.append(record)
-            if on_batch is not None:
-                on_batch(record)
-            drained_any = True
-        if window_shed and not drained_any:
-            # Every arrival of the window was shed: record it anyway.
-            record = BatchRecord(
-                cycle=cycle_index,
-                window_start=tick.window_start,
-                size=0,
-                accepted=0,
-                declined=0,
-                shed=window_shed,
-                revenue=0.0,
-                incremental_cost=0.0,
-                solver_seconds=0.0,
-                cache_hit=False,
-                rung="shed",
-            )
-            batches.append(record)
-            if on_batch is not None:
-                on_batch(record)
-
-    schedule = Schedule(instance, assignment)
-    shed_total = queue.shed
-    return CycleResult(
-        cycle=cycle_index,
-        num_requests=instance.num_requests,
-        accepted=schedule.num_accepted,
-        declined=instance.num_requests - schedule.num_accepted - shed_total,
-        shed=shed_total,
-        revenue=schedule.revenue,
-        cost=schedule.cost,
-        profit=schedule.profit,
-        wall_seconds=time.perf_counter() - t0,
-        batches=batches,
-        assignment=dict(assignment),
-        purchased={
-            int(edge): float(units)
-            for edge, units in enumerate(charged)
-            if units
-        },
-    )
+                    shed_ids.append(req.request_id)
+        engine.decide(
+            queue.drain(),
+            window_start=tick.window_start,
+            window_shed=len(shed_ids) - shed_before,
+        )
+    result = engine.close_cycle()
+    result.assignment.update(dict.fromkeys(shed_ids))
+    result.wall_seconds = time.perf_counter() - t0
+    return result
 
 
-def _cycle_worker(payload: tuple) -> CycleResult:
-    """Pool entry point: serve one cycle inside a worker process.
+def _worker_engine(
+    topology: Topology,
+    config: "BrokerConfig",
+    cycle_index: int,
+    faults: FaultPlan | None,
+    dual_prices: np.ndarray | None = None,
+) -> CycleEngine:
+    """The engine a pool worker serves one cycle with.
 
     Uses the worker's per-process decision cache and the pool's
-    cooperative-cancellation flag (both installed by the pool initializer).
-    A :class:`~repro.state.FaultPlan` riding on the payload is consulted
-    at the cancellation poll, so an injected worker death or solver hang
-    lands mid-cycle between solves — the crash points the pool's restart
-    path and the cycle budget must survive.  ``cycle_budget`` (seconds,
-    or ``None``) arms a fresh in-worker :class:`CycleBudget` so pooled
-    cycles are deadline-guaranteed too.
+    cooperative-cancellation flag (both installed by the pool
+    initializer).  A :class:`~repro.state.FaultPlan` is consulted at the
+    cancellation poll, so an injected worker death or solver hang lands
+    mid-cycle between solves — the crash points the pool's restart path
+    and the cycle budget must survive.
     """
-    (
-        topology,
-        requests,
-        cycle_index,
-        window,
-        k_paths,
-        time_limit,
-        queue_capacity,
-        max_batch,
-        fast_path,
-        lp_screen,
-        faults,
-        cycle_budget,
-    ) = payload
     check_cancelled = pool_mod.check_cancelled
     if faults is not None:
         def check_cancelled():
@@ -506,23 +293,35 @@ def _cycle_worker(payload: tuple) -> CycleResult:
             faults.maybe_hang_solver()
             faults.maybe_slow_worker()
             return pool_mod.check_cancelled()
-    return run_cycle(
+    return CycleEngine.from_config(
         topology,
+        config,
+        breaker=False,
+        cache=pool_mod.worker_cache(),
+        check_cancelled=check_cancelled,
+        dual_prices=dual_prices,
+    )
+
+
+def _serve_cycle(
+    engine: CycleEngine, requests: RequestSet, cycle_index: int, config
+) -> CycleResult:
+    """:func:`run_cycle` with the clock and queue ``config`` describes."""
+    return run_cycle(
+        engine.topology,
         requests,
         cycle_index=cycle_index,
-        window=window,
-        k_paths=k_paths,
-        time_limit=time_limit,
-        cache=pool_mod.worker_cache(),
-        queue_capacity=queue_capacity,
-        max_batch=max_batch,
-        check_cancelled=check_cancelled,
-        fast_path=fast_path,
-        lp_screen=lp_screen,
-        budget=(
-            CycleBudget(cycle_budget) if cycle_budget is not None else None
-        ),
+        window=config.window,
+        queue_capacity=config.queue_capacity,
+        engine=engine,
     )
+
+
+def _cycle_worker(payload: tuple) -> CycleResult:
+    """Pool entry point: serve one cycle inside a worker process."""
+    topology, requests, cycle_index, config, faults = payload
+    engine = _worker_engine(topology, config, cycle_index, faults)
+    return _serve_cycle(engine, requests, cycle_index, config)
 
 
 class _StateWriter:
@@ -762,30 +561,6 @@ class Broker:
         self, start: int, writer: _StateWriter | None
     ) -> list[CycleResult]:
         config = self.config
-        cache = DecisionCache(config.cache_size) if config.cache_size > 0 else None
-        budget = (
-            CycleBudget(config.cycle_budget)
-            if config.cycle_budget is not None
-            else None
-        )
-        breaker = (
-            CircuitBreaker(
-                failure_threshold=config.breaker_failures,
-                reset_seconds=config.breaker_reset,
-            )
-            if config.breaker_failures > 0
-            else None
-        )
-        ladder = None
-        if budget is not None or breaker is not None:
-            ladder = DegradationLadder(
-                budget=budget,
-                breaker=breaker,
-                time_limit=config.time_limit,
-                fast_path=config.fast_path,
-                lp_screen=config.lp_screen,
-            )
-        self._breaker = breaker
         check_cancelled = None
         if self.faults is not None:
             faults = self.faults
@@ -794,27 +569,20 @@ class Broker:
                 faults.maybe_hang_solver()
                 return False
 
+        engine = CycleEngine.from_config(
+            self.topology,
+            config,
+            cache=DecisionCache(config.cache_size) if config.cache_size > 0 else None,
+            on_batch=writer.on_batch if writer is not None else None,
+            check_cancelled=check_cancelled,
+        )
+        self._breaker = engine.breaker
         results = []
         for index in range(start, config.num_cycles):
             if self._stop_requested:
                 break
-            if budget is not None:
-                budget.restart()
-            result = run_cycle(
-                self.topology,
-                self.source.cycle(index),
-                cycle_index=index,
-                window=config.window,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                cache=cache,
-                queue_capacity=config.queue_capacity,
-                max_batch=config.max_batch,
-                check_cancelled=check_cancelled,
-                fast_path=config.fast_path,
-                lp_screen=config.lp_screen,
-                on_batch=writer.on_batch if writer is not None else None,
-                ladder=ladder,
+            result = _serve_cycle(
+                engine, self.source.cycle(index), index, config
             )
             if writer is not None:
                 writer.commit_cycle(result)
@@ -826,20 +594,7 @@ class Broker:
     ) -> list[CycleResult]:
         config = self.config
         payloads = [
-            (
-                self.topology,
-                self.source.cycle(index),
-                index,
-                config.window,
-                config.k_paths,
-                config.time_limit,
-                config.queue_capacity,
-                config.max_batch,
-                config.fast_path,
-                config.lp_screen,
-                self.faults,
-                config.cycle_budget,
-            )
+            (self.topology, self.source.cycle(index), index, config, self.faults)
             for index in range(start, config.num_cycles)
         ]
         results = []

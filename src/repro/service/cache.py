@@ -84,6 +84,13 @@ class DecisionCache:
             )
         return tuple(rows)
 
+    @staticmethod
+    def price_digest(prices: np.ndarray) -> bytes:
+        """A 16-byte digest of a (dual) price vector, for :meth:`make_key`."""
+        return hashlib.blake2b(
+            np.ascontiguousarray(prices).tobytes(), digest_size=16
+        ).digest()
+
     @classmethod
     def make_key(
         cls,
@@ -91,9 +98,13 @@ class DecisionCache:
         batch_ids: list[int],
         committed_loads: np.ndarray,
         charged: np.ndarray,
+        *,
+        salt: bytes = b"",
     ) -> CacheKey:
+        """The key of a batch decision; ``salt`` (a :meth:`price_digest`)
+        separates decisions steered by different dual prices."""
         return (
-            cls.state_fingerprint(committed_loads, charged),
+            cls.state_fingerprint(committed_loads, charged) + salt,
             cls.batch_signature(instance, batch_ids),
         )
 

@@ -3,13 +3,14 @@
 :class:`ShardedBroker` scales the serving loop *within* a billing cycle:
 each cycle's bid stream is partitioned by source DC
 (:func:`repro.decomp.partition_requests`), every shard serves its slice
-through the unchanged :func:`repro.service.broker.run_cycle` admission
-loop — in parallel across a :class:`~repro.service.pool.SolverPool` when
-``workers >= 2`` — and the shards coordinate only through the
+through :func:`repro.service.broker.run_cycle` on its own
+:class:`~repro.service.engine.CycleEngine` — in parallel across a
+:class:`~repro.service.pool.SolverPool` when ``workers >= 2`` — and the
+shards coordinate only through the
 :class:`~repro.decomp.ledger.BandwidthLedger`:
 
 * shard MILPs solve against the effective prices ``u_e + lambda_e``
-  (``run_cycle``'s ``dual_prices`` hook); all accounting stays on the
+  (the engine's ``dual_prices`` hook); all accounting stays on the
   true prices, and each shard charges its own integer units, so a
   cycle's profit is the plain sum of shard profits — the composability
   the recovery path depends on;
@@ -46,15 +47,15 @@ from repro.core.schedule import Schedule
 from repro.decomp.ledger import BandwidthLedger, make_step_schedule
 from repro.decomp.partition import PARTITION_MODES, partition_requests
 from repro.decomp.solver import _reconcile
-from repro.resilience import CircuitBreaker, CycleBudget, DegradationLadder
-from repro.service import pool as pool_mod
+from repro.resilience import CycleBudget
 from repro.service.broker import (
     BrokerConfig,
-    CycleResult,
     _make_topology,
-    run_cycle,
+    _serve_cycle,
+    _worker_engine,
 )
 from repro.service.cache import DecisionCache
+from repro.service.engine import CycleEngine, CycleResult
 from repro.service.ingest import ArrivalSource, GeneratorSource
 from repro.service.pool import SolverPool
 from repro.service.telemetry import TelemetryCollector
@@ -218,57 +219,23 @@ class ShardedReport:
         self.telemetry.dump_json(path)
 
 
-def _shard_cycle_worker(payload: tuple):
-    """Pool entry point: serve one shard's slice of one billing cycle.
+def _serve_shard(engine: CycleEngine, payload: tuple):
+    """Serve one shard's slice of one billing cycle on ``engine``.
 
-    Returns ``(shard_id, CycleResult, loads)`` — the realized (edge,
-    slot) loads ride along so the coordinator can post them to the
-    ledger without re-enumerating paths.
+    Returns ``(shard_id, CycleResult, loads)``: the engine's committed
+    (edge, slot) loads ride along so the coordinator can post them to
+    the ledger without re-enumerating paths.
     """
-    (
-        shard_id,
-        topology,
-        requests,
-        cycle_index,
-        window,
-        k_paths,
-        time_limit,
-        queue_capacity,
-        max_batch,
-        fast_path,
-        lp_screen,
-        duals,
-        faults,
-        cycle_budget,
-    ) = payload
-    check_cancelled = pool_mod.check_cancelled
-    if faults is not None:
-        def check_cancelled():
-            faults.maybe_kill_worker(cycle_index)
-            faults.maybe_hang_solver()
-            faults.maybe_slow_worker()
-            return pool_mod.check_cancelled()
-    instance = SPMInstance.build(topology, requests, k_paths=k_paths)
-    result = run_cycle(
-        topology,
-        requests,
-        cycle_index=cycle_index,
-        window=window,
-        k_paths=k_paths,
-        time_limit=time_limit,
-        cache=pool_mod.worker_cache(),
-        queue_capacity=queue_capacity,
-        max_batch=max_batch,
-        check_cancelled=check_cancelled,
-        fast_path=fast_path,
-        lp_screen=lp_screen,
-        instance=instance,
-        dual_prices=duals,
-        budget=(
-            CycleBudget(cycle_budget) if cycle_budget is not None else None
-        ),
-    )
-    return shard_id, result, instance.loads(result.assignment)
+    shard_id, _topology, requests, cycle_index, config, _duals, _faults = payload
+    result = _serve_cycle(engine, requests, cycle_index, config)
+    return shard_id, result, engine.committed
+
+
+def _shard_cycle_worker(payload: tuple):
+    """Pool entry point: :func:`_serve_shard` on a fresh worker engine."""
+    _shard_id, topology, _requests, cycle_index, config, duals, faults = payload
+    engine = _worker_engine(topology, config, cycle_index, faults, duals)
+    return _serve_shard(engine, payload)
 
 
 class _ShardJournals:
@@ -451,31 +418,25 @@ class ShardedBroker:
         self._worker_restarts = 0
         self._backoff_seconds = 0.0
         self._shard_concurrency = 1
+        # One budget for the whole fleet's cycle; breakers are per shard
+        # engine, so one sick shard degrades alone.
         self._budget = (
             CycleBudget(config.cycle_budget)
             if config.cycle_budget is not None
             else None
         )
-        self._breakers: list[CircuitBreaker | None] = [
-            CircuitBreaker(
-                failure_threshold=config.breaker_failures,
-                reset_seconds=config.breaker_reset,
-            )
-            if config.breaker_failures > 0
-            else None
-            for _ in range(config.shards)
-        ]
-        self._ladders: list[DegradationLadder | None] = [
-            DegradationLadder(
+        self._engines = [
+            CycleEngine.from_config(
+                self.topology,
+                config,
                 budget=self._budget,
-                breaker=self._breakers[shard_id],
-                time_limit=config.time_limit,
-                fast_path=config.fast_path,
-                lp_screen=config.lp_screen,
+                cache=(
+                    DecisionCache(config.cache_size)
+                    if config.cache_size > 0
+                    else None
+                ),
             )
-            if self._budget is not None or self._breakers[shard_id] is not None
-            else None
-            for shard_id in range(config.shards)
+            for _ in range(config.shards)
         ]
         self._hedges = [0] * config.shards
 
@@ -554,7 +515,8 @@ class ShardedBroker:
         telemetry.ledger_price_iterations = ledger.price_iterations
         telemetry.reconciliation_evictions = ledger.evictions
         telemetry.shard_concurrency = self._shard_concurrency
-        for shard_id, breaker in enumerate(self._breakers):
+        for shard_id, engine in enumerate(self._engines):
+            breaker = engine.breaker
             if breaker is None and not self._hedges[shard_id]:
                 continue
             section: dict = {"hedged_solves": self._hedges[shard_id]}
@@ -582,10 +544,6 @@ class ShardedBroker:
         config = self.config
         results: list[ShardedCycle] = []
         pool = None
-        caches: list[DecisionCache | None] = [
-            DecisionCache(config.cache_size) if config.cache_size > 0 else None
-            for _ in range(config.shards)
-        ]
         try:
             if config.workers >= 2 and start < config.num_cycles:
                 pool = SolverPool(
@@ -595,7 +553,7 @@ class ShardedBroker:
             for index in range(start, config.num_cycles):
                 if self._stop_requested:
                     break
-                sharded = self._serve_cycle(index, ledger, pool, caches)
+                sharded = self._serve_cycle(index, ledger, pool)
                 if journals is not None:
                     journals.commit_cycle(sharded, ledger)
                 results.append(sharded)
@@ -612,32 +570,27 @@ class ShardedBroker:
         index: int,
         ledger: BandwidthLedger,
         pool: SolverPool | None,
-        caches: list[DecisionCache | None],
     ) -> ShardedCycle:
         config = self.config
         requests = self.source.cycle(index)
         shard_ids = partition_requests(
             self.topology, requests, config.shards, config.partition
         )
-        if self._budget is not None:
-            self._budget.restart()
         duals = ledger.duals.copy()
+        for engine in self._engines:
+            # Opening every shard engine together re-arms the shared
+            # budget once for the whole fleet cycle.
+            engine.start_cycle(index, num_slots=requests.num_slots)
+            engine.dual_prices = duals
         payloads = [
             (
                 shard_id,
                 self.topology,
                 requests.subset(ids),
                 index,
-                config.window,
-                config.k_paths,
-                config.time_limit,
-                config.queue_capacity,
-                config.max_batch,
-                config.fast_path,
-                config.lp_screen,
+                config,
                 duals,
                 self.faults if pool is not None else None,
-                config.cycle_budget,
             )
             for shard_id, ids in enumerate(shard_ids)
         ]
@@ -645,14 +598,11 @@ class ShardedBroker:
         shard_results: list[CycleResult | None] = [None] * config.shards
         ledger.begin_round()
         if pool is not None and self._budget is not None:
-            outcomes = self._serve_cycle_hedged(pool, payloads, caches)
+            outcomes = self._serve_cycle_hedged(pool, payloads)
         elif pool is not None:
             outcomes = pool.imap(_shard_cycle_worker, payloads)
         else:
-            outcomes = (
-                self._serve_shard_serial(payload, caches)
-                for payload in payloads
-            )
+            outcomes = (self._serve_shard_local(payload) for payload in payloads)
         for shard_id, result, loads in outcomes:
             shard_results[shard_id] = result
             ledger.post(shard_id, loads)
@@ -674,7 +624,7 @@ class ShardedBroker:
             duals_after=ledger.duals.tolist(),
         )
 
-    def _serve_cycle_hedged(self, pool: SolverPool, payloads, caches):
+    def _serve_cycle_hedged(self, pool: SolverPool, payloads):
         """Hedged pooled dispatch: one hung shard degrades alone.
 
         Every shard is submitted to the pool individually; each future is
@@ -688,7 +638,7 @@ class ShardedBroker:
         """
         futures = []
         for payload in payloads:
-            breaker = self._breakers[payload[0]]
+            breaker = self._engines[payload[0]].breaker
             if breaker is not None and not breaker.allow():
                 futures.append((payload, None))
             else:
@@ -697,9 +647,9 @@ class ShardedBroker:
                 )
         for payload, future in futures:
             shard_id = payload[0]
-            breaker = self._breakers[shard_id]
+            breaker = self._engines[shard_id].breaker
             if future is None:
-                yield self._serve_shard_serial(payload, caches)
+                yield self._serve_shard_local(payload)
                 continue
             timeout = max(self._budget.remaining(), self._budget.min_slice)
             try:
@@ -709,62 +659,30 @@ class ShardedBroker:
                 if breaker is not None:
                     breaker.record_failure()
                 future.cancel()
-                yield self._serve_shard_serial(payload, caches)
+                yield self._serve_shard_local(payload)
             except BrokenProcessPool:
                 if breaker is not None:
                     breaker.record_failure()
                 pool.restart()
-                yield self._serve_shard_serial(payload, caches)
+                yield self._serve_shard_local(payload)
             else:
                 if breaker is not None:
                     breaker.record_success()
                 yield outcome
 
-    def _serve_shard_serial(self, payload: tuple, caches):
+    def _serve_shard_local(self, payload: tuple):
         """The in-process twin of :func:`_shard_cycle_worker`.
 
         Identical decisions (the cache is exact and the loop
-        deterministic); only the cache residency differs — serial shards
-        keep one persistent cache per shard id instead of per process.
-        Doubles as the hedged path's local fallback: with resilience
-        configured the shard's ladder (shared budget, per-shard breaker)
-        decides every batch, so a budget already drained by a hung pool
-        solve lands the whole shard on the greedy rung.
+        deterministic); only the cache residency differs — local shards
+        keep one persistent engine, and so one cache, per shard id
+        instead of per process.  Doubles as the hedged path's fallback:
+        with resilience configured the shard engine's ladder (shared
+        budget, per-shard breaker) decides every batch, so a budget
+        already drained by a hung pool solve lands the whole shard on
+        the greedy rung.
         """
-        (
-            shard_id,
-            topology,
-            requests,
-            cycle_index,
-            window,
-            k_paths,
-            time_limit,
-            queue_capacity,
-            max_batch,
-            fast_path,
-            lp_screen,
-            duals,
-            _faults,
-            _cycle_budget,
-        ) = payload
-        instance = SPMInstance.build(topology, requests, k_paths=k_paths)
-        result = run_cycle(
-            topology,
-            requests,
-            cycle_index=cycle_index,
-            window=window,
-            k_paths=k_paths,
-            time_limit=time_limit,
-            cache=caches[shard_id],
-            queue_capacity=queue_capacity,
-            max_batch=max_batch,
-            fast_path=fast_path,
-            lp_screen=lp_screen,
-            instance=instance,
-            dual_prices=duals,
-            ladder=self._ladders[shard_id],
-        )
-        return shard_id, result, instance.loads(result.assignment)
+        return _serve_shard(self._engines[payload[0]], payload)
 
     def _reconcile_cycle(
         self,

@@ -1,13 +1,13 @@
 """Sharded live serving: N cycle engines behind one gateway socket.
 
 :class:`ShardedLiveEngine` is a drop-in for
-:class:`~repro.gateway.engine.LiveCycleEngine` — same surface
+:class:`~repro.service.engine.CycleEngine` — same surface
 (``cycle`` / ``requests`` / ``seen`` / ``start_cycle`` / ``decide`` /
 ``close_cycle``), so :class:`~repro.gateway.server.GatewayServer` swaps
 it in unchanged when ``GatewayConfig.shards > 1``.  Internally each
 window's batch is partitioned by source DC (the same
 :func:`~repro.decomp.partition.source_shard_map` rule as the classic
-sharded broker) and decided by per-shard ``LiveCycleEngine``\\ s whose
+sharded broker) and decided by per-shard ``CycleEngine``\\ s whose
 decisions are steered through a shared
 :class:`~repro.decomp.ledger.BandwidthLedger`: after every window the
 shards' committed loads are posted, and on any capacity violation the
@@ -39,11 +39,10 @@ from repro.decomp.partition import (
     shard_of_source,
     source_shard_map,
 )
-from repro.gateway.engine import LiveCycleEngine
 from repro.net.topology import Topology
 from repro.resilience import CircuitBreaker, CycleBudget
-from repro.service.broker import CycleResult
 from repro.service.cache import DecisionCache
+from repro.service.engine import CycleEngine, CycleResult
 from repro.service.telemetry import BatchRecord
 from repro.workload.request import Request
 
@@ -127,7 +126,7 @@ class ShardedLiveEngine:
         # state (and the dual digest when steering), so entries never
         # collide across shards.
         self._engines = [
-            LiveCycleEngine(
+            CycleEngine(
                 topology,
                 slots_per_cycle,
                 k_paths=k_paths,

@@ -29,7 +29,6 @@ fleet.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -38,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import RecoveryError
 from repro.state.journal import scan_wal
-from repro.state.recovery import WAL_FORMAT, recover
+from repro.state.recovery import WAL_FORMAT, digest_parts, recover
 
 __all__ = [
     "shard_wal_path",
@@ -77,8 +76,7 @@ def shard_fingerprint(
         ("mode", mode),
         ("shard", shard_id),
     )
-    digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=16)
-    return digest.hexdigest()
+    return digest_parts(parts)
 
 
 def ledger_to_record(cycle: int, ledger) -> dict[str, Any]:

@@ -80,8 +80,12 @@ def config_fingerprint(config) -> str:
         ("queue_capacity", config.queue_capacity),
         ("max_batch", config.max_batch),
     )
-    digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=16)
-    return digest.hexdigest()
+    return digest_parts(parts)
+
+
+def digest_parts(parts: tuple) -> str:
+    """The hex fingerprint of a tuple of ``(name, value)`` pairs."""
+    return hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=16).hexdigest()
 
 
 # ----------------------------------------------------------------- records

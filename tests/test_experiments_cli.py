@@ -140,3 +140,34 @@ class TestServe:
     def test_serve_bad_topology_exits(self):
         with pytest.raises(SystemExit):
             main(["serve", "--topology", "nope"])
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--lp-screen"],
+            ["--workers", "4"],
+            ["--workers", "0"],
+            ["--trace", "bids.jsonl"],
+            ["--requests", "999"],
+            ["--seed", "2019"],
+        ],
+    )
+    def test_serve_listen_rejects_broker_only_flags(self, flag, capsys):
+        # Even a flag given at its default value is refused: the gateway
+        # would otherwise ignore it without a word.
+        # A one-slot, one-cycle horizon: were the flag accepted, the
+        # gateway would serve 10 ms and exit 0 rather than raise.
+        live = ["--duration", "1", "--cycles", "1", "--slot-seconds", "0.01"]
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--listen", "127.0.0.1:0", *live, *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} cannot be used with --listen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--slot-seconds", "0.5"], ["--conn-buffer", "4096"]]
+    )
+    def test_serve_broker_rejects_gateway_only_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--topology", "sub-b4", *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} requires --listen" in capsys.readouterr().err

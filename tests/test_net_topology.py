@@ -86,6 +86,40 @@ class TestPathsAndValidation:
             ("A", "D", "C"),
         }
 
+    def test_candidate_paths_memoized(self):
+        topo = make_square()
+        first = topo.candidate_paths("A", "C", k=2)
+        assert topo.candidate_paths("A", "C", k=2) is first
+        assert topo.candidate_paths("A", "C", k=1) == first[:1]
+
+    def test_link_added_after_a_call_changes_paths(self):
+        topo = make_square()
+        before = topo.candidate_paths("A", "C", k=2)
+        topo.add_link("A", "C", 0.5)
+        after = topo.candidate_paths("A", "C", k=2)
+        assert after[0].nodes == ("A", "C")
+        assert after != before
+
+    def test_datacenter_added_after_a_call_changes_paths(self):
+        topo = make_square()
+        before = topo.candidate_paths("A", "C", k=3)
+        topo.add_datacenter("E")
+        topo.add_link("A", "E", 0.1)
+        topo.add_link("E", "C", 0.1)
+        after = topo.candidate_paths("A", "C", k=3)
+        assert after[0].nodes == ("A", "E", "C")
+        assert len(after) == len(before) + 1
+
+    def test_copy_starts_with_empty_memo(self):
+        topo = make_square()
+        topo.candidate_paths("A", "C", k=2)
+        clone = topo.copy()
+        assert clone.candidate_paths("A", "C", k=2) == topo.candidate_paths(
+            "A", "C", k=2
+        )
+        clone.add_link("A", "C", 0.5)
+        assert topo.candidate_paths("A", "C", k=2)[0].nodes != ("A", "C")
+
     def test_validate_accepts_square(self):
         make_square().validate()
 
