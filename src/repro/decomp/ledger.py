@@ -31,8 +31,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.instance import SPMInstance
-
 __all__ = [
     "StepSchedule",
     "ConstantStep",
@@ -127,6 +125,14 @@ def make_step_schedule(
         ) from None
 
 
+def _mean_price(prices: np.ndarray) -> float:
+    """The default ``step0``: the mean link price, floored at ``1e-12``.
+
+    One round then moves a unit violation by about one price unit.
+    """
+    return max(float(prices.mean()) if prices.size else 1.0, 1e-12)
+
+
 class BandwidthLedger:
     """Shared per-link demand aggregation and dual-price state."""
 
@@ -149,10 +155,7 @@ class BandwidthLedger:
         if self.capacities.size != len(self.edges):
             raise ValueError("capacities must align with edges")
         if schedule is None:
-            # Default: harmonic, scaled to the mean link price — one round
-            # moves a unit violation by about one price unit.
-            mean_price = float(self.prices.mean()) if self.prices.size else 1.0
-            schedule = HarmonicStep(max(mean_price, 1e-12))
+            schedule = HarmonicStep(_mean_price(self.prices))
         self.schedule = schedule
         self.duals = np.zeros(len(self.edges))
         self.demand = np.zeros((len(self.edges), self.num_slots))
@@ -165,24 +168,42 @@ class BandwidthLedger:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_instance(
-        cls, instance: SPMInstance, *, schedule: StepSchedule | None = None
+    def from_topology(
+        cls,
+        topology,
+        num_slots: int,
+        *,
+        prices: np.ndarray | None = None,
+        step: str = "harmonic",
+        step0: float | None = None,
+        decay: float = 0.5,
     ) -> "BandwidthLedger":
-        """A ledger over an instance's edges, prices and topology ceilings."""
+        """A ledger over a topology's edges and link ceilings.
+
+        Edges follow the topology's order — the order every
+        :class:`~repro.core.instance.SPMInstance` over it uses.
+        ``prices`` defaults to the topology's link prices (an instance
+        passes its own, which may be repriced); ``step``/``step0``/
+        ``decay`` name the step schedule, with ``step0=None`` scaled to
+        the mean link price.
+        """
+        edges = [e.key for e in topology.edges]
+        if prices is None:
+            prices = np.array([topology.price(*key) for key in edges])
         capacities = np.array(
             [
                 float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (
-                    instance.topology.capacity(*key) for key in instance.edges
-                )
+                for ceiling in (topology.capacity(*key) for key in edges)
             ]
         )
+        if step0 is None:
+            step0 = _mean_price(prices)
         return cls(
-            instance.edges,
-            instance.prices,
+            edges,
+            prices,
             capacities,
-            instance.num_slots,
-            schedule=schedule,
+            num_slots,
+            schedule=make_step_schedule(step, step0, decay=decay),
         )
 
     # ------------------------------------------------------------- rounds

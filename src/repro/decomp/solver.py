@@ -51,14 +51,12 @@ import numpy as np
 
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
-from repro.decomp.ledger import BandwidthLedger, make_step_schedule
+from repro.decomp.ledger import BandwidthLedger
 from repro.decomp.partition import PARTITION_MODES, partition_requests
 from repro.exceptions import SolverError
 from repro.lp.fastbuild import with_objective
-from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
-from repro.lp.warmstart import ResolveSession, relax
-from repro.resilience.budget import CycleBudget
+from repro.lp.warmstart import ResolveSession
 from repro.resilience.ladder import greedy_admission
 from repro.service.pool import SolverPool
 
@@ -100,28 +98,13 @@ class DecompConfig:
     #: Worker processes for the per-round shard solves; ``>= 2`` runs the
     #: shards of each price round concurrently through a
     #: :class:`~repro.service.pool.SolverPool` (HiGHS holds the GIL, so
-    #: concurrency must be process-based).  Ignored when a ``budget`` is
-    #: passed — deadline slicing is inherently sequential.
+    #: concurrency must be process-based).
     workers: int = 1
     #: Reuse each shard's :class:`~repro.lp.warmstart.ResolveSession`
     #: across rounds: converged effective prices repeat the exact
     #: ``(c, bounds)`` key and the cached optimum is returned without a
     #: solver call.  Bitwise-neutral — only certified results are reused.
     warm_start: bool = True
-    #: Screen each shard round against its incumbent: when the round's LP
-    #: relaxation bound does not beat the previous assignment re-costed
-    #: under the new effective prices, keep the incumbent and skip the
-    #: MILP.  Objective-optimal (the kept incumbent attains the round's
-    #: optimum) but not assignment-identical to a fresh solve when the
-    #: round optimum is degenerate.
-    screen: bool = False
-    #: Adaptive round budget: stop the price iteration after this many
-    #: consecutive rounds whose max violation failed to decay below
-    #: ``stall_decay`` times the previous round's.  ``0`` disables the
-    #: check (always run to ``max_rounds``/tolerance).
-    stall_rounds: int = 0
-    #: Required per-round violation decay factor for the stall check.
-    stall_decay: float = 0.9
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -134,14 +117,6 @@ class DecompConfig:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.stall_rounds < 0:
-            raise ValueError(
-                f"stall_rounds must be >= 0, got {self.stall_rounds}"
-            )
-        if not 0.0 < self.stall_decay <= 1.0:
-            raise ValueError(
-                f"stall_decay must be in (0, 1], got {self.stall_decay}"
-            )
 
 
 @dataclass(frozen=True)
@@ -170,8 +145,6 @@ class DecompOutcome:
     max_violation: float = 0.0
     #: Request ids revoked by the reconciliation pass, in eviction order.
     evicted: tuple = ()
-    #: Shard-round MILPs skipped by the incumbent screen.
-    screened_solves: int = 0
     #: Exact-repeat + certified session hits across all shard sessions.
     warm_hits: int = 0
     #: Worker processes the round solves actually ran on (1 = in-process).
@@ -180,18 +153,6 @@ class DecompOutcome:
     @property
     def profit(self) -> float:
         return self.schedule.profit
-
-
-def _ledger_for(instance: SPMInstance, config: DecompConfig) -> BandwidthLedger:
-    if config.step0 is not None:
-        step0 = config.step0
-    else:
-        step0 = max(
-            float(instance.prices.mean()) if instance.prices.size else 1.0,
-            1e-12,
-        )
-    schedule = make_step_schedule(config.step, step0, decay=config.decay)
-    return BandwidthLedger.from_instance(instance, schedule=schedule)
 
 
 def _choices(formulation, x: np.ndarray) -> dict[int, int | None]:
@@ -208,11 +169,10 @@ def _choices(formulation, x: np.ndarray) -> dict[int, int | None]:
 class _ShardProblem:
     """One shard's compiled subproblem, re-solvable under shifted prices.
 
-    Holds two :class:`~repro.lp.warmstart.ResolveSession`\\ s — one for the
-    round MILPs, one for their LP relaxations — anchored once on the
-    shard's compiled arrays (``with_objective``/``relax`` alias every
-    array but ``c``, so the anchor survives every round).  ``last_x``
-    carries the previous round's raw incumbent for the screening bound.
+    Holds a :class:`~repro.lp.warmstart.ResolveSession` for the round
+    MILPs, anchored once on the shard's compiled arrays
+    (``with_objective`` aliases every array but ``c``, so the anchor
+    survives every round).  ``assignment`` is the latest round decision.
     """
 
     def __init__(self, shard_id: int, instance: SPMInstance) -> None:
@@ -227,18 +187,10 @@ class _ShardProblem:
         ]
         self.assignment: dict[int, int | None] = {}
         self.session = ResolveSession()
-        self.relax_session = ResolveSession()
-        self.last_x: np.ndarray | None = None
-        self.screened_solves = 0
 
     @property
     def warm_hits(self) -> int:
-        return self.session.stats.warm_hits + self.relax_session.stats.warm_hits
-
-    def adopt(self, assignment: dict, x: np.ndarray | None) -> None:
-        """Install a worker-computed round result (pooled path)."""
-        self.assignment = assignment
-        self.last_x = x
+        return self.session.stats.warm_hits
 
     def solve(
         self,
@@ -246,50 +198,32 @@ class _ShardProblem:
         *,
         time_limit: float | None,
         warm_start: bool = False,
-        screen: bool = False,
-        incumbent_x: np.ndarray | None = None,
     ) -> dict[int, int | None]:
+        """The round decision under ``effective_prices``.
+
+        A time-limited solve that ends without an incumbent keeps the
+        previous round's decision, or, in the first round, falls back to
+        :meth:`fallback`; the reconciliation pass keeps the joint result
+        feasible either way.
+        """
         objective = np.concatenate([self._values_head, -effective_prices])
         shifted = with_objective(self.formulation.compiled, objective)
-        incumbent = self.last_x if incumbent_x is None else incumbent_x
-        if screen and incumbent is not None:
-            # The incumbent is still feasible (only the objective moved);
-            # when the relaxation bound cannot beat its re-costed value
-            # the incumbent attains this round's optimum — keep it.
-            relaxed = relax(shifted)
-            bound = (
-                self.relax_session.solve(relaxed, time_limit=time_limit)
-                if warm_start
-                else solve_compiled_raw(relaxed, time_limit=time_limit)
-            )
-            value = float(objective @ incumbent)
-            if bound.status is SolveStatus.OPTIMAL and bound.objective <= (
-                value + _TOL * max(1.0, abs(value))
-            ):
-                self.screened_solves += 1
-                self.last_x = incumbent
-                self.assignment = _choices(self.formulation, incumbent)
-                return self.assignment
         raw = (
             self.session.solve(shifted, time_limit=time_limit)
             if warm_start
             else solve_compiled_raw(shifted, time_limit=time_limit)
         )
-        if raw.x is None:
-            raise SolverError(
-                f"shard {self.shard_id} solve returned no incumbent "
-                f"(status {raw.status.value})"
-            )
-        self.last_x = raw.x
-        self.assignment = _choices(self.formulation, raw.x)
+        if raw.x is not None:
+            self.assignment = _choices(self.formulation, raw.x)
+        elif not self.assignment:
+            self.fallback(effective_prices)
         return self.assignment
 
     def fallback(self, effective_prices: np.ndarray) -> dict[int, int | None]:
         """Greedy value-density decision under the effective prices.
 
-        The budget-starved rung of the decomposition: no solver, so it
-        always fits whatever deadline is left.  May oversubscribe capped
-        links like any relaxed round decision — the reconciliation pass
+        No solver, so it always answers.  May oversubscribe capped links
+        like any relaxed round decision — the reconciliation pass
         restores feasibility either way.
         """
         ids = list(self.instance.requests.request_ids)
@@ -328,14 +262,13 @@ def _solve_shard_task(payload) -> tuple:
 
     Ships the shard instance every round (cheap at shard scale) so the
     task is idempotent and worker-affinity-free: a registry hit reuses
-    the worker's warm ``_ShardProblem`` (sessions and all); a miss —
+    the worker's warm ``_ShardProblem`` (its session and all); a miss —
     fresh worker, restarted executor, or shard rebalanced to a different
-    worker — rebuilds it from the payload.  The incumbent travels in the
-    payload, so screening keeps working across worker reassignment.
+    worker — rebuilds it from the payload.  The previous round's
+    assignment travels in the payload, so a solve without an incumbent
+    keeps it across worker reassignment.
     """
-    token, shard_id, instance, effective, time_limit, warm, screen, last_x = (
-        payload
-    )
+    token, shard_id, instance, effective, time_limit, warm, previous = payload
     key = (token, shard_id)
     problem = _WORKER_SHARDS.get(key)
     if problem is None:
@@ -343,21 +276,10 @@ def _solve_shard_task(payload) -> tuple:
             del _WORKER_SHARDS[stale]
         problem = _ShardProblem(shard_id, instance)
         _WORKER_SHARDS[key] = problem
-    screened_before = problem.screened_solves
+    problem.assignment = previous
     warm_before = problem.warm_hits
-    assignment = problem.solve(
-        effective,
-        time_limit=time_limit,
-        warm_start=warm,
-        screen=screen,
-        incumbent_x=last_x,
-    )
-    return (
-        assignment,
-        problem.last_x,
-        problem.screened_solves - screened_before,
-        problem.warm_hits - warm_before,
-    )
+    assignment = problem.solve(effective, time_limit=time_limit, warm_start=warm)
+    return assignment, problem.warm_hits - warm_before
 
 
 def _reconcile(
@@ -403,34 +325,27 @@ def solve_decomposed(
     instance: SPMInstance,
     config: DecompConfig | None = None,
     *,
-    ledger: BandwidthLedger | None = None,
-    budget: "CycleBudget | None" = None,
     pool: SolverPool | None = None,
 ) -> DecompOutcome:
     """Solve ``instance`` by sharded Lagrangian price iteration.
 
-    Pass ``ledger`` to coordinate through caller-owned dual state (the
-    sharded broker carries its ledger across cycles); by default a fresh
-    ledger is built from the instance under ``config``'s step schedule.
-    The returned outcome's schedule is always feasible for the
-    topology's link ceilings.
-
-    ``budget`` (a :class:`~repro.resilience.budget.CycleBudget`) makes
-    the price iteration deadline-aware: each round's shard solves share
-    a shrinking slice of the remaining budget (split across the shards
-    still to solve this round, clipped to ``config.time_limit``), and an
-    expired budget ends the rounds loop early — the current incumbent
-    assignments are reconciled and returned instead of iterating on.
+    The duals live in a fresh ledger built from the instance under
+    ``config``'s step schedule.  The returned outcome's schedule is
+    always feasible for the topology's link ceilings.
 
     ``config.workers >= 2`` (or an explicit ``pool``) runs each round's
     shard solves concurrently across processes; pass a long-lived
-    ``pool`` to amortize worker startup across calls (the sharded broker
-    does).  A ``budget`` forces the serial path — its per-shard deadline
-    slicing is ordered by construction.
+    ``pool`` to amortize worker startup across calls.
     """
     config = config or DecompConfig()
-    if ledger is None:
-        ledger = _ledger_for(instance, config)
+    ledger = BandwidthLedger.from_topology(
+        instance.topology,
+        instance.num_slots,
+        prices=instance.prices,
+        step=config.step,
+        step0=config.step0,
+        decay=config.decay,
+    )
     shard_ids = partition_requests(
         instance.topology, instance.requests, config.num_shards, config.mode
     )
@@ -440,9 +355,7 @@ def solve_decomposed(
         if ids
     ]
 
-    use_pool = budget is None and len(problems) >= 2 and (
-        pool is not None or config.workers >= 2
-    )
+    use_pool = len(problems) >= 2 and (pool is not None or config.workers >= 2)
     owned_pool: SolverPool | None = None
     if use_pool and pool is None:
         owned_pool = pool = SolverPool(
@@ -452,10 +365,6 @@ def solve_decomposed(
 
     rounds = 0
     max_violation = 0.0
-    prev_violation: float | None = None
-    stalled = 0
-    deadline_hit = False
-    screened_solves = 0
     warm_hits = 0
     try:
         while True:
@@ -470,45 +379,25 @@ def solve_decomposed(
                         effective,
                         config.time_limit,
                         config.warm_start,
-                        config.screen,
-                        problem.last_x,
+                        problem.assignment,
                     )
                     for problem in problems
                 ]
-                for problem, result in zip(
+                for problem, (assignment, warm) in zip(
                     problems, pool.imap(_solve_shard_task, payloads)
                 ):
-                    assignment, x, screened, warm = result
-                    problem.adopt(assignment, x)
-                    screened_solves += screened
+                    problem.assignment = assignment
                     warm_hits += warm
                     ledger.post(
                         problem.shard_id, problem.instance.loads(assignment)
                     )
             else:
-                for position, problem in enumerate(problems):
-                    if budget is not None and not budget.affords_solver(
-                        shares=len(problems) - position
-                    ):
-                        # Starved mid-round: keep the shard's incumbent from
-                        # the previous round, or greedy if it has none.
-                        deadline_hit = True
-                        if not problem.assignment:
-                            problem.fallback(effective)
-                        assignment = problem.assignment
-                    else:
-                        limit = config.time_limit
-                        if budget is not None:
-                            limit = budget.solve_limit(
-                                shares=len(problems) - position,
-                                cap=config.time_limit,
-                            )
-                        assignment = problem.solve(
-                            effective,
-                            time_limit=limit,
-                            warm_start=config.warm_start,
-                            screen=config.screen,
-                        )
+                for problem in problems:
+                    assignment = problem.solve(
+                        effective,
+                        time_limit=config.time_limit,
+                        warm_start=config.warm_start,
+                    )
                     ledger.post(
                         problem.shard_id, problem.instance.loads(assignment)
                     )
@@ -516,25 +405,10 @@ def solve_decomposed(
             max_violation = (
                 float(ledger.violation().max()) if ledger.num_edges else 0.0
             )
-            if budget is not None and not budget.affords_solver(
-                shares=max(len(problems), 1)
-            ):
-                deadline_hit = True
-            if config.stall_rounds:
-                if (
-                    prev_violation is not None
-                    and max_violation > config.stall_decay * prev_violation
-                ):
-                    stalled += 1
-                else:
-                    stalled = 0
-                prev_violation = max_violation
             if (
                 max_violation <= config.tolerance
                 or rounds >= config.max_rounds
                 or not ledger.capped
-                or deadline_hit
-                or (config.stall_rounds and stalled >= config.stall_rounds)
             ):
                 break
             ledger.update_prices()
@@ -542,7 +416,6 @@ def solve_decomposed(
         if owned_pool is not None:
             owned_pool.shutdown()
     if not use_pool:
-        screened_solves = sum(p.screened_solves for p in problems)
         warm_hits = sum(p.warm_hits for p in problems)
 
     assignment: dict[int, int | None] = {
@@ -562,7 +435,6 @@ def solve_decomposed(
         rounds=rounds,
         max_violation=max_violation,
         evicted=tuple(evicted),
-        screened_solves=screened_solves,
         warm_hits=warm_hits,
         workers=(pool.workers if use_pool else 1),
     )

@@ -56,12 +56,12 @@ from repro.gateway.protocol import (
     parse_bid_line,
 )
 from repro.gateway.wallclock import WallClock
-from repro.resilience import CycleBudget
 from repro.service.broker import BrokerConfig, _StateWriter, _make_topology
 from repro.service.cache import DecisionCache
 from repro.service.engine import CycleEngine
 from repro.service.ingest import AdmissionQueue, PushSource
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
+from repro.shard.broker import ShardConfig
 from repro.shard.live import ShardedLiveEngine
 from repro.shard.recovery import shard_fingerprint
 from repro.state import (
@@ -109,7 +109,6 @@ class GatewayConfig:
     max_batch: int | None = 16
     cache_size: int = 1024
     conn_buffer: int = 4096
-    fast_path: bool = True
     wal_path: str | Path | None = None
     snapshot_every: int = 1
     fsync: str = "batch"
@@ -189,13 +188,16 @@ class GatewayConfig:
         This is what the WAL fingerprint is computed over, so a gateway
         journal refuses to resume under a changed decision-relevant
         configuration through exactly the broker's guard, and what
-        :meth:`CycleEngine.from_config` builds the single-shard engine
-        from.  Live-only fields (address, ``slot_seconds``, buffers) are
+        the engine is built from: :meth:`CycleEngine.from_config` for
+        one shard and, when ``shards > 1``, a
+        :class:`~repro.shard.broker.ShardConfig` (adding ``shards`` and
+        ``partition``) for :class:`~repro.shard.live.ShardedLiveEngine`.
+        Live-only fields (address, ``slot_seconds``, buffers) are
         execution levers and deliberately absent, like ``workers`` for
         the broker; the resilience levers ride along but, like
         ``cache_size``, never enter the fingerprint.
         """
-        return BrokerConfig(
+        fields = dict(
             topology=self.topology,
             num_cycles=1 if self.num_cycles is None else self.num_cycles,
             slots_per_cycle=self.slots_per_cycle,
@@ -207,7 +209,6 @@ class GatewayConfig:
             time_limit=self.time_limit,
             queue_capacity=self.queue_capacity,
             max_batch=self.max_batch,
-            fast_path=self.fast_path,
             wal_path=self.wal_path,
             snapshot_every=self.snapshot_every,
             fsync=self.fsync,
@@ -216,6 +217,11 @@ class GatewayConfig:
             breaker_failures=self.breaker_failures,
             breaker_reset=self.breaker_reset,
         )
+        if self.shards > 1:
+            return ShardConfig(
+                **fields, shards=self.shards, partition=self.partition
+            )
+        return BrokerConfig(**fields)
 
     def clock(self) -> WallClock:
         return WallClock(
@@ -375,28 +381,12 @@ class GatewayServer:
             on_batch=self._on_batch,
             check_cancelled=check_cancelled,
         )
+        engine_config = config.broker_config()
         if config.shards > 1:
-            self._engine = ShardedLiveEngine(
-                self.topology,
-                config.slots_per_cycle,
-                shards=config.shards,
-                partition=config.partition,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                max_batch=config.max_batch,
-                fast_path=config.fast_path,
-                budget=(
-                    CycleBudget(config.cycle_budget)
-                    if config.cycle_budget is not None
-                    else None
-                ),
-                breaker_failures=config.breaker_failures,
-                breaker_reset=config.breaker_reset,
-                **hooks,
-            )
+            self._engine = ShardedLiveEngine(self.topology, engine_config, **hooks)
         else:
             self._engine = CycleEngine.from_config(
-                self.topology, config.broker_config(), **hooks
+                self.topology, engine_config, **hooks
             )
         if next_cycle > 0:
             self._engine.start_cycle(next_cycle)

@@ -245,13 +245,11 @@ class DegradationLadder:
         budget: CycleBudget | None = None,
         breaker: CircuitBreaker | None = None,
         time_limit: float | None = None,
-        fast_path: bool = True,
         lp_screen: bool = False,
     ) -> None:
         self.budget = budget
         self.breaker = breaker
         self.time_limit = time_limit
-        self.fast_path = fast_path
         self.lp_screen = lp_screen
         self.counts: dict[str, int] = dict.fromkeys(RUNGS, 0)
         #: Exact-rung decisions answered by the LP screen alone.
@@ -310,7 +308,6 @@ class DegradationLadder:
                     time_limit=self.solve_limit(shares=shares),
                     check_cancelled=check_cancelled,
                     accept_feasible=True,
-                    fast_path=self.fast_path,
                     lp_screen=self.lp_screen,
                 )
             except SolverTimeoutError:

@@ -106,9 +106,7 @@ class BrokerConfig:
     into admission windows; ``workers >= 2`` enables the process pool;
     ``cache_size=0`` disables the decision cache; ``queue_capacity`` and
     ``max_batch`` bound the admission queue and per-MILP batch size
-    (``None`` = unbounded).  ``fast_path`` selects the array-native batch
-    model build (default; decision-identical to the expression build,
-    kept as the reference).  ``lp_screen`` enables the LP relaxation-bound
+    (``None`` = unbounded).  ``lp_screen`` enables the LP relaxation-bound
     screen for the engine's exact batch solves: hopeless batches are
     declined with a certificate instead of paying for an integer solve —
     decisions and profit are unchanged.
@@ -150,7 +148,6 @@ class BrokerConfig:
     cache_size: int = 1024
     queue_capacity: int | None = None
     max_batch: int | None = None
-    fast_path: bool = True
     lp_screen: bool = False
     wal_path: str | Path | None = None
     snapshot_every: int = 1
@@ -230,7 +227,7 @@ def run_cycle(
     ``engine_options`` — any :class:`CycleEngine` keyword: ``k_paths``,
     ``time_limit`` (``None`` means unlimited; the config-level default
     is :data:`DEFAULT_TIME_LIMIT`), ``cache``, ``max_batch``,
-    ``check_cancelled``, ``fast_path``, ``lp_screen``, ``on_batch``,
+    ``check_cancelled``, ``lp_screen``, ``on_batch``,
     ``dual_prices``, ``budget``, ``breaker``.
 
     Shed bids are listed in the result's ``assignment`` as ``None``, so

@@ -98,7 +98,6 @@ class CycleEngine:
         time_limit: float | None = None,
         cache: DecisionCache | None = None,
         max_batch: int | None = None,
-        fast_path: bool = True,
         lp_screen: bool = False,
         on_batch=None,
         budget: CycleBudget | None = None,
@@ -116,7 +115,6 @@ class CycleEngine:
         self.time_limit = time_limit
         self.cache = cache
         self.max_batch = max_batch
-        self.fast_path = fast_path
         self.lp_screen = lp_screen
         self.on_batch = on_batch
         self.budget = budget
@@ -128,7 +126,6 @@ class CycleEngine:
                 budget=budget,
                 breaker=breaker,
                 time_limit=time_limit,
-                fast_path=fast_path,
                 lp_screen=lp_screen,
             )
         self.prices = np.array([topology.price(*e.key) for e in topology.edges])
@@ -165,7 +162,6 @@ class CycleEngine:
             k_paths=config.k_paths,
             time_limit=config.time_limit,
             max_batch=config.max_batch,
-            fast_path=config.fast_path,
             lp_screen=config.lp_screen,
             budget=budget,
             breaker=(
@@ -338,7 +334,6 @@ class CycleEngine:
                     self.charged,
                     time_limit=self.time_limit,
                     check_cancelled=self.check_cancelled,
-                    fast_path=self.fast_path,
                     lp_screen=self.lp_screen,
                 )
             except SolverTimeoutError:

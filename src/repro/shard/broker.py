@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
-from repro.decomp.ledger import BandwidthLedger, make_step_schedule
+from repro.decomp.ledger import BandwidthLedger
 from repro.decomp.partition import PARTITION_MODES, partition_requests
 from repro.decomp.solver import _reconcile
 from repro.resilience import CycleBudget
@@ -374,35 +374,6 @@ class ShardedBroker:
 
     # ------------------------------------------------------------------ run
 
-    def _make_ledger(self) -> BandwidthLedger:
-        config = self.config
-        # The ledger needs only the edge order, prices and ceilings — the
-        # same fixed ordering every SPMInstance over this topology uses.
-        edges = [e.key for e in self.topology.edges]
-        prices = np.array([self.topology.price(*key) for key in edges])
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (
-                    self.topology.capacity(*key) for key in edges
-                )
-            ]
-        )
-        step0 = config.step0
-        if step0 is None:
-            step0 = max(
-                float(prices.mean()) if prices.size else 1.0, 1e-12
-            )
-        return BandwidthLedger(
-            edges,
-            prices,
-            capacities,
-            config.slots_per_cycle,
-            schedule=make_step_schedule(
-                config.step, step0, decay=config.decay
-            ),
-        )
-
     def run(self, *, resume: bool = False) -> ShardedReport:
         """Serve every configured cycle across the fleet.
 
@@ -440,7 +411,13 @@ class ShardedBroker:
         ]
         self._hedges = [0] * config.shards
 
-        ledger = self._make_ledger()
+        ledger = BandwidthLedger.from_topology(
+            self.topology,
+            config.slots_per_cycle,
+            step=config.step,
+            step0=config.step0,
+            decay=config.decay,
+        )
         completed: list[ShardedCycle] = []
         recovered_batches = 0
         journals = None

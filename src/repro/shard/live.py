@@ -33,17 +33,14 @@ import time
 
 import numpy as np
 
-from repro.decomp.ledger import BandwidthLedger, make_step_schedule
-from repro.decomp.partition import (
-    PARTITION_MODES,
-    shard_of_source,
-    source_shard_map,
-)
+from repro.decomp.ledger import BandwidthLedger
+from repro.decomp.partition import shard_of_source, source_shard_map
 from repro.net.topology import Topology
-from repro.resilience import CircuitBreaker, CycleBudget
+from repro.resilience import CycleBudget
 from repro.service.cache import DecisionCache
 from repro.service.engine import CycleEngine, CycleResult
 from repro.service.telemetry import BatchRecord
+from repro.shard.broker import ShardConfig
 from repro.workload.request import Request
 
 __all__ = ["ShardedLiveEngine"]
@@ -52,94 +49,65 @@ _TOL = 1e-9
 
 
 class ShardedLiveEngine:
-    """N per-shard cycle engines coordinated by one bandwidth ledger."""
+    """N per-shard cycle engines coordinated by one bandwidth ledger.
+
+    Built from a :class:`~repro.shard.broker.ShardConfig`: ``shards`` and
+    ``partition`` fix the fleet, ``step``/``step0``/``decay`` the
+    ledger's dual-price schedule, and every shard engine is
+    :meth:`CycleEngine.from_config` of the same config.  The hooks are
+    the owner's: a shared decision ``cache``, the ``on_batch``
+    write-ahead hook (fired for every shard's records in decision
+    order) and ``check_cancelled``.
+    """
 
     def __init__(
         self,
         topology: Topology,
-        slots_per_cycle: int,
+        config: ShardConfig,
         *,
-        shards: int,
-        partition: str = "hash",
-        k_paths: int = 3,
-        time_limit: float | None = None,
         cache: DecisionCache | None = None,
-        max_batch: int | None = None,
-        fast_path: bool = True,
         on_batch=None,
-        step: str = "harmonic",
-        step0: float | None = None,
-        decay: float = 0.5,
-        budget: CycleBudget | None = None,
-        breaker_failures: int = 0,
-        breaker_reset: float = 5.0,
         check_cancelled=None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if partition not in PARTITION_MODES:
-            raise ValueError(
-                f"partition must be one of {PARTITION_MODES}, got {partition!r}"
-            )
         self.topology = topology
-        self.num_shards = shards
-        self.partition = partition
+        self.num_shards = config.shards
+        self.partition = config.partition
         self.on_batch = on_batch
         # Every datacenter's shard is known up front, so routing a bid is
         # a dict lookup on the hot path.
         self._shard_of = source_shard_map(
-            topology, topology.datacenters, shards, partition
+            topology, topology.datacenters, config.shards, config.partition
         )
-        edges = [e.key for e in topology.edges]
-        prices = np.array([topology.price(*key) for key in edges])
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (topology.capacity(*key) for key in edges)
-            ]
-        )
-        if step0 is None:
-            step0 = max(float(prices.mean()) if prices.size else 1.0, 1e-12)
-        self.ledger = BandwidthLedger(
-            edges,
-            prices,
-            capacities,
-            slots_per_cycle,
-            schedule=make_step_schedule(step, step0, decay=decay),
+        self.ledger = BandwidthLedger.from_topology(
+            topology,
+            config.slots_per_cycle,
+            step=config.step,
+            step0=config.step0,
+            decay=config.decay,
         )
         #: One wall-clock deadline for the whole fleet's cycle: every
         #: shard engine shares it, so sequential shard decides naturally
         #: split the shrinking remaining budget.  Each engine's
         #: ``start_cycle`` re-arms it (idempotent within a cycle open).
-        self.budget = budget
-        #: Per-shard breakers: one sick shard degrades alone while its
-        #: siblings keep solving exactly.
-        self.breakers: list[CircuitBreaker | None] = [
-            CircuitBreaker(
-                failure_threshold=breaker_failures, reset_seconds=breaker_reset
-            )
-            if breaker_failures > 0
+        self.budget = (
+            CycleBudget(config.cycle_budget)
+            if config.cycle_budget is not None
             else None
-            for _ in range(shards)
-        ]
+        )
         # The decision cache is shared: keys fold the per-shard committed
         # state (and the dual digest when steering), so entries never
-        # collide across shards.
+        # collide across shards.  Breakers are per engine: one sick shard
+        # degrades alone while its siblings keep solving exactly.
         self._engines = [
-            CycleEngine(
+            CycleEngine.from_config(
                 topology,
-                slots_per_cycle,
-                k_paths=k_paths,
-                time_limit=time_limit,
+                config,
+                budget=self.budget,
                 cache=cache,
-                max_batch=max_batch,
-                fast_path=fast_path,
                 on_batch=self._on_sub_batch,
-                budget=budget,
-                breaker=self.breakers[shard],
                 check_cancelled=check_cancelled,
             )
-            for shard in range(shards)
+            for _ in range(config.shards)
         ]
         self.requests: list[Request] = []
         self.batches: list[BatchRecord] = []
@@ -260,7 +228,7 @@ class ShardedLiveEngine:
                 "revenue": result.revenue,
                 "profit": result.profit,
             }
-            breaker = self.breakers[shard]
+            breaker = self._engines[shard].breaker
             if breaker is not None:
                 counters[shard]["breaker_opens"] = breaker.opens
                 counters[shard]["breaker_failures"] = breaker.failures
@@ -279,7 +247,8 @@ class ShardedLiveEngine:
     def breaker_counters(self) -> dict[str, int]:
         """Fleet-wide breaker counters summed across shards."""
         totals = {"opens": 0, "failures": 0, "probes": 0, "short_circuits": 0}
-        for breaker in self.breakers:
+        for engine in self._engines:
+            breaker = engine.breaker
             if breaker is None:
                 continue
             totals["opens"] += breaker.opens

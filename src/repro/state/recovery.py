@@ -58,7 +58,7 @@ def config_fingerprint(config) -> str:
     """A stable digest of everything that pins the broker's decisions.
 
     Execution levers that cannot change which bids arrive or how a batch
-    is decided (``workers``, ``cache_size``, ``fast_path``, ``wal_path``,
+    is decided (``workers``, ``cache_size``, ``wal_path``,
     ``snapshot_every``, ``fsync``) are deliberately excluded, as is
     ``num_cycles`` — a resumed run may extend the horizon of the run it
     continues.

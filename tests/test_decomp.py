@@ -263,6 +263,25 @@ class TestSolveDecomposed:
         for rid in outcome.evicted:
             assert outcome.schedule.assignment[rid] is None
 
+    def test_time_limited_shard_without_incumbent_still_decides(self):
+        # A shard MILP cut off before HiGHS finds an incumbent keeps its
+        # previous round's decision (greedy in the first round); the
+        # reconciliation pass keeps the joint schedule feasible.
+        topo = b4()
+        topo.set_uniform_capacity(1)
+        requests = generate_workload(
+            topo, WorkloadConfig(num_requests=64, num_slots=8), rng=7
+        )
+        instance = SPMInstance.build(topo, requests, k_paths=3)
+        outcome = solve_decomposed(
+            instance,
+            DecompConfig(num_shards=4, max_rounds=4, time_limit=1e-6),
+        )
+        assert sorted(outcome.schedule.assignment) == sorted(
+            requests.request_ids
+        )
+        outcome.schedule.check_capacities(topo.capacities())
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             DecompConfig(num_shards=0)

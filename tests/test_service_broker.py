@@ -258,15 +258,6 @@ class TestGracefulDegradation:
         # themselves are unchanged.
         assert first.assignment == second.assignment
 
-    def test_fast_path_off_matches_on(self):
-        on = Broker(BrokerConfig(num_cycles=1, **_SMALL)).run()
-        off = Broker(
-            BrokerConfig(num_cycles=1, fast_path=False, **_SMALL)
-        ).run()
-        assert on.decision_log() == off.decision_log()
-        assert on.profit == pytest.approx(off.profit)
-        assert on.summary()["suboptimal_batches"] == 0
-        assert on.summary()["timed_out_batches"] == 0
 
 
 class TestConfigValidation:

@@ -245,3 +245,38 @@ def test_gateway_engine_config_keeps_the_wal_fingerprint():
     )
     engine = CycleEngine.from_config(b4(), levers.broker_config())
     assert engine.budget is not None and engine.breaker is not None
+
+
+@pytest.mark.parametrize(
+    "shards,base,live",
+    [
+        (
+            1,
+            "e8ac1337eec747db07e2ac58cc8f6670",
+            "2f9d09764f135845e7dcf8cd4cf27bf9",
+        ),
+        (
+            3,
+            "e8ac1337eec747db07e2ac58cc8f6670",
+            "79fd3fdb24e57ec3917416b8dfaa5722",
+        ),
+    ],
+)
+def test_sharded_gateway_config_keeps_the_wal_fingerprints(shards, base, live):
+    # A sharded gateway's broker_config() is a ShardConfig; the base
+    # fingerprint reads only broker fields, so gateway journals written
+    # before the sharded engine took its config still resume.
+    from repro.gateway import GatewayConfig
+    from repro.shard import ShardConfig
+    from repro.shard.recovery import shard_fingerprint
+    from repro.state import config_fingerprint
+
+    config = GatewayConfig(shards=shards)
+    engine_config = config.broker_config()
+    assert isinstance(engine_config, ShardConfig) == (shards > 1)
+    assert config_fingerprint(engine_config) == base
+    assert shard_fingerprint(base, shards, config.partition, "live") == live
+    assert (
+        config_fingerprint(ShardConfig(shards=shards))
+        == "144a03068edd63c3c453913a960c4a97"
+    )

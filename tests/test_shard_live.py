@@ -13,7 +13,7 @@ from repro.gateway.engine import LiveCycleEngine
 from repro.gateway.protocol import decode_message
 from repro.net.topologies import star_topology, sub_b4
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
-from repro.shard import ShardedLiveEngine
+from repro.shard import ShardConfig, ShardedLiveEngine
 from repro.workload.request import Request
 
 _FAST = dict(
@@ -73,7 +73,10 @@ async def _read(reader) -> dict:
 class TestShardedLiveEngine:
     def _engine(self, shards=2, **kwargs) -> ShardedLiveEngine:
         return ShardedLiveEngine(
-            sub_b4(), 4, shards=shards, time_limit=5.0, **kwargs
+            sub_b4(),
+            ShardConfig(
+                slots_per_cycle=4, shards=shards, time_limit=5.0, **kwargs
+            ),
         )
 
     def test_decisions_come_back_in_input_order(self):
@@ -142,7 +145,9 @@ class TestShardedLiveEngine:
         # window's marginal bid unprofitable.
         topo = star_topology(8)
         topo.set_uniform_capacity(2)
-        engine = ShardedLiveEngine(topo, 4, shards=3, time_limit=5.0)
+        engine = ShardedLiveEngine(
+            topo, ShardConfig(slots_per_cycle=4, shards=3, time_limit=5.0)
+        )
         by_shard: dict[int, list[str]] = {}
         for node, shard in engine._shard_of.items():
             if node not in ("DC0", "DC1"):
@@ -181,9 +186,9 @@ class TestShardedLiveEngine:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shards"):
-            ShardedLiveEngine(sub_b4(), 4, shards=0)
+            ShardConfig(slots_per_cycle=4, shards=0)
         with pytest.raises(ValueError, match="partition"):
-            ShardedLiveEngine(sub_b4(), 4, shards=2, partition="modulo")
+            ShardConfig(slots_per_cycle=4, shards=2, partition="modulo")
 
 
 class TestShardedGateway:
