@@ -1,12 +1,12 @@
 """Benchmark of the array-native Metis hot loop.
 
 Pins the speedups of the per-instance formulation compiler, the
-vectorized pessimistic-estimator kernel, and the zero-copy ``restrict``
-over their expression-layer / reference counterparts, and times one
-end-to-end ``Metis.solve`` on the fast path.  Every timed comparison
-first asserts the fast path is *bitwise identical* to the reference (the
-property the fuzz suite checks at small scale, re-checked here at
-benchmark scale).
+vectorized pessimistic-estimator kernel, the zero-copy ``restrict`` and
+the screened local search over their expression-layer / reference
+counterparts, and times one end-to-end ``Metis.solve`` on the fast path.
+Every timed comparison first asserts the fast path is *bitwise identical*
+to the reference (the property the fuzz suite checks at small scale,
+re-checked here at benchmark scale).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a shrunken configuration (CI smoke):
 same equivalence assertions, relaxed speedup floors.
@@ -22,10 +22,14 @@ import pytest
 from repro.core.fastform import FormulationCompiler
 from repro.core.formulations import build_bl_spm, build_rl_spm
 from repro.core.instance import SPMInstance
-from repro.core.metis import Metis
+from repro.core.maa import improve_paths, round_paths, solve_maa
+from repro.core.metis import Metis, prune_unprofitable
+from repro.core.schedule import Schedule
 from repro.core.taa import _build_estimator, _build_estimator_fast
 from repro.experiments.common import ExperimentConfig, make_instance
 from repro.lp.solvers import solve_compiled_raw
+
+from tests import oracles
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _NUM_REQUESTS = 30 if _SMOKE else 200
@@ -45,8 +49,6 @@ def instance():
 @pytest.fixture(scope="module")
 def capacities(instance):
     """Charged bandwidth of the accept-everything schedule (Metis round 0)."""
-    from repro.core.maa import solve_maa
-
     return {
         key: int(units)
         for key, units in solve_maa(instance, rng=0).schedule.charged.items()
@@ -223,11 +225,62 @@ def test_restrict_speedup(benchmark, instance):
     )
 
 
+def test_local_search_speedup(benchmark, instance):
+    """``improve_paths`` + ``prune_unprofitable``: screened vs scalar oracles.
+
+    The same MAA roundings of the K=200 relaxation go through the
+    ceiling-drop-screened descent and pruning and through the scalar loops
+    in :mod:`tests.oracles`; every assignment must match, and the screened
+    pair must run at least 3x faster (1.5x in smoke mode).
+    """
+    weights = solve_maa(instance, rng=0).fractional_weights
+    roundings = [round_paths(instance, weights, seed) for seed in range(8)]
+    improved = [improve_paths(instance, a) for a in roundings]
+    assert improved == [oracles.improve_paths(instance, a) for a in roundings]
+    schedules = [Schedule(instance, a) for a in improved]
+    pruned = [prune_unprofitable(instance, s).assignment for s in schedules]
+    assert pruned == [
+        oracles.prune_unprofitable(instance, s).assignment for s in schedules
+    ]
+
+    def run_screened():
+        for a in roundings:
+            improve_paths(instance, a)
+        for s in schedules:
+            prune_unprofitable(instance, s)
+
+    def run_oracle():
+        for a in roundings:
+            oracles.improve_paths(instance, a)
+        for s in schedules:
+            oracles.prune_unprofitable(instance, s)
+
+    rounds = 3
+    run_screened(), run_oracle()  # warm-up
+    t_oracle = best_of(run_oracle, rounds)
+    t_screened = best_of(run_screened, rounds)
+    benchmark.pedantic(run_screened, rounds=rounds, iterations=1)
+
+    speedup = t_oracle / t_screened
+    floor = 1.5 if _SMOKE else 3.0
+    print(
+        f"\nlocal search over {len(roundings)} roundings at K={_NUM_REQUESTS}: "
+        f"oracle {t_oracle * 1e3:.1f} ms, screened {t_screened * 1e3:.1f} ms, "
+        f"speedup {speedup:.1f}x"
+    )
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["floor"] = floor
+    assert speedup >= floor, (
+        f"screened local search ran only {speedup:.1f}x faster than the "
+        f"scalar oracles (floor {floor}x)"
+    )
+
+
 def test_metis_end_to_end(benchmark, instance):
     """One full alternation at benchmark scale: warm-start row vs PR 4 cold.
 
-    ``Metis(warm_start=True)`` (resolve sessions + incremental local
-    search, see :mod:`repro.lp.warmstart`) must match the cold fast path
+    ``Metis(warm_start=True)`` (resolve sessions, see
+    :mod:`repro.lp.warmstart`) must match the cold fast path
     bitwise and beat it by >= 1.5x end to end at K=200 (reported, not
     enforced, in smoke mode).
     """

@@ -4,9 +4,8 @@ Three headline rows, each pinned against its cold oracle *after* an
 equivalence assertion (warm-start reuse is only allowed to change wall
 clock, never results):
 
-* **Metis alternation** — ``Metis(warm_start=True)`` (resolve sessions +
-  incremental local search) against the cold fast path at benchmark
-  scale; the full configuration asserts a >= 1.5x end-to-end floor.
+* **Metis alternation** — ``Metis(warm_start=True)`` (resolve sessions)
+  against the cold fast path at benchmark scale; the full configuration asserts a >= 1.5x end-to-end floor.
 * **Online LP screening** — a low-value flood where most batches are
   provably hopeless; declining them on the LP relaxation bound must cut
   mean batch-decision latency by >= 25% with bitwise-identical decisions.

@@ -68,6 +68,9 @@ class SPMInstance:
         # formulation_compiler()).
         self._batch_compiler = None
         self._fastform = None
+        # (request id, path) -> flat load cells and rates, filled on first
+        # use by loads(); shared with restrict()/reprice() views.
+        self._cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # ----------------------------------------------------------- constructors
 
@@ -90,12 +93,13 @@ class SPMInstance:
         """The same instance over a subset of the requests — zero-copy.
 
         The restricted instance *shares* the parent's edge order, edge
-        index, price vector, per-path edge arrays, and any lazily-built
-        array-native compilers (both are keyed per request id, so a subset
-        view stays valid); only the request subset and its path-dict views
-        are new.  Metis restricts once per alternation round, so rebuilding
-        the incidence arrays here used to dominate the non-solver round
-        cost.  Nothing mutates the shared state after construction.
+        index, price vector, per-path edge arrays, the load-cell cache and
+        any lazily-built array-native compilers (all are keyed per request
+        id, so a subset view stays valid); only the request subset and its
+        path-dict views are new.  Metis restricts once per alternation
+        round, so rebuilding the incidence arrays here used to dominate the
+        non-solver round cost.  Nothing mutates the shared state after
+        construction (the load-cell cache only gains entries).
         """
         subset = self.requests.subset(request_ids)
         child = SPMInstance.__new__(SPMInstance)
@@ -110,16 +114,17 @@ class SPMInstance:
         }
         child._batch_compiler = self._batch_compiler
         child._fastform = self._fastform
+        child._cells = self._cells
         return child
 
     def reprice(self, prices: np.ndarray) -> "SPMInstance":
         """The same instance under a different price vector — zero-copy.
 
-        Shares the topology, requests, paths, edge order and per-path edge
-        arrays; only ``prices`` is replaced.  The lazily-built compilers
-        are *not* shared (both read the price vector), so the repriced
-        instance compiles fresh models against the new prices while the
-        parent's caches stay valid.
+        Shares the topology, requests, paths, edge order, per-path edge
+        arrays and load-cell cache; only ``prices`` is replaced.  The
+        lazily-built compilers are *not* shared (both read the price
+        vector), so the repriced instance compiles fresh models against the
+        new prices while the parent's caches stay valid.
 
         This is the decision-steering hook of the Lagrangian decomposition
         (:mod:`repro.decomp`): shard subproblems solve against
@@ -140,6 +145,7 @@ class SPMInstance:
         child.path_edges = self.path_edges
         child._batch_compiler = None
         child._fastform = None
+        child._cells = self._cells
         return child
 
     # -------------------------------------------------------------- accessors
@@ -216,15 +222,40 @@ class SPMInstance:
 
         ``assignment`` maps request id -> chosen path index (or ``None`` for
         declined).  Returns an array of shape ``(num_edges, num_slots)``.
+
+        One ``bincount`` over the cached flat cells of every assigned
+        (request, path), in assignment order: bincount adds its weights
+        in input order starting from 0.0, so each cell is summed exactly as
+        a per-request ``loads[edges, window] += rate`` loop would sum it.
         """
-        loads = np.zeros((self.num_edges, self.num_slots))
+        cells: list[np.ndarray] = []
+        rates: list[np.ndarray] = []
         for req_id, path_idx in assignment.items():
             if path_idx is None:
                 continue
-            req = self.requests[req_id]
-            edge_idx = self.path_edges[req_id][path_idx]
-            loads[edge_idx, req.start : req.end + 1] += req.rate
-        return loads
+            entry = self._cells.get((req_id, path_idx))
+            if entry is None:
+                entry = self._path_cells(req_id, path_idx)
+            cells.append(entry[0])
+            rates.append(entry[1])
+        if not cells:
+            return np.zeros((self.num_edges, self.num_slots))
+        flat = np.bincount(
+            np.concatenate(cells),
+            weights=np.concatenate(rates),
+            minlength=self.num_edges * self.num_slots,
+        )
+        return flat.reshape(self.num_edges, self.num_slots)
+
+    def _path_cells(self, req_id: int, path_idx: int):
+        """Cache and return ``(edge * T + slot cells, rates)`` of one path."""
+        req = self.requests[req_id]
+        edge_idx = self.path_edges[req_id][path_idx]
+        slots = np.arange(req.start, req.end + 1)
+        cells = (edge_idx[:, None] * self.num_slots + slots).ravel()
+        entry = (cells, np.full(cells.size, req.rate))
+        self._cells[(req_id, path_idx)] = entry
+        return entry
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,7 @@ __all__ = [
     "solve_maa",
     "round_paths",
     "improve_paths",
-    "ImproveMemo",
+    "ceiling_drops",
 ]
 
 #: Fractional bandwidth below this is treated as zero when computing alpha.
@@ -83,17 +83,55 @@ def round_paths(
     weights sum to zero (possible only for degenerate inputs) falls back to
     its cheapest path, preserving RL-SPM's "every request satisfied"
     invariant.
+
+    The draws are exactly ``gen.choice(len(w), p=w / w.sum())`` per
+    request with a positive total, in request order, done for all of them
+    at once: one ``gen.random(n)`` (the same stream as ``n`` scalar
+    ``choice`` draws) against row-wise normalized cumulative weights,
+    counting ``cdf <= u`` as ``choice``'s ``side='right'`` search does.  A
+    row ``choice`` would reject (a NaN or negative probability) is handed
+    to ``choice`` itself at its turn, so it raises the same ``ValueError``
+    with the generator advanced exactly as far.
     """
     gen = ensure_rng(rng)
-    assignment: dict[int, int | None] = {}
-    for req in instance.requests:
-        w = np.asarray(weights[req.request_id], dtype=float)
-        total = w.sum()
-        if total <= 0:
-            assignment[req.request_id] = 0
-            continue
-        assignment[req.request_id] = int(gen.choice(len(w), p=w / total))
-    return assignment
+    rids = instance.requests.request_ids
+    n = len(rids)
+    by_length: dict[int, list[int]] = {}
+    for pos, rid in enumerate(rids):
+        by_length.setdefault(len(weights[rid]), []).append(pos)
+    clean = np.zeros(n, dtype=bool)
+    rejected = np.zeros(n, dtype=bool)
+    cdfs = []
+    for length, positions in by_length.items():
+        w = np.array([weights[rids[pos]] for pos in positions], dtype=float)
+        w = w.reshape(len(positions), length)
+        total = w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = w / total[:, None]
+            cdf = np.cumsum(p, axis=1)
+            cdf = cdf / cdf[:, -1:]
+        positions = np.asarray(positions)
+        drawn = ~(total <= 0)  # a NaN total reaches choice, as in a loop
+        valid = (p >= 0).all(axis=1)
+        clean[positions] = drawn & valid
+        rejected[positions] = drawn & ~valid
+        cdfs.append((positions, cdf))
+
+    u = np.zeros(n)
+    picks = np.zeros(n, dtype=np.int64)
+    start = 0
+    for stop in np.flatnonzero(rejected).tolist() + [n]:
+        segment = np.flatnonzero(clean[start:stop]) + start
+        u[segment] = gen.random(segment.size)
+        if stop < n:
+            w = np.asarray(weights[rids[stop]], dtype=float)
+            picks[stop] = gen.choice(len(w), p=w / w.sum())
+        start = stop + 1
+    for positions, cdf in cdfs:
+        rows = clean[positions]
+        picked = positions[rows]
+        picks[picked] = (cdf[rows] <= u[picked, None]).sum(axis=1)
+    return dict(zip(rids, picks.tolist()))
 
 
 def solve_maa(
@@ -126,7 +164,8 @@ def solve_maa(
     ``maa_rounds`` times per round (only the rounding rng differs), so
     every repeat after the first is answered from the session's
     exact-repeat cache — with bitwise-identical solutions by the session's
-    certification rules.
+    certification rules.  It governs only that LP session; the rounding
+    and everything after it run the same way either way.
 
     Raises :class:`~repro.exceptions.InfeasibleError` if the relaxation is
     infeasible (cannot happen on strongly connected topologies with
@@ -179,54 +218,47 @@ def solve_maa(
     )
 
 
-class ImproveMemo:
-    """Cross-call static caches for :func:`improve_paths`.
+def ceiling_drops(
+    instance: SPMInstance,
+    loads: np.ndarray,
+    requests: list,
+    paths: list[int],
+) -> np.ndarray:
+    """Whether taking each request off its path lowers a charged ceiling.
 
-    Two things about a request never change between improve calls: the
-    sorted edge union of any (current, candidate) path pair — and where
-    each path's edges land inside it — and the union of *all* its
-    candidate-path edges (the only loads a re-evaluation of that request
-    can read).  Metis calls ``improve_paths`` ``maa_rounds * theta`` times
-    over shrinking subsets of one request population, so a memo shared
-    across those calls pays the ``np.unique``/``searchsorted`` cost once
-    per (request, path-pair) ever.
+    Entry ``i`` is true iff subtracting ``requests[i].rate`` inside its
+    window from the ``loads`` rows of path ``paths[i]`` lowers
+    ``ceil(max_t load - 1e-9)`` (clipped at zero) on at least one edge.
+    Every request is judged alone against ``loads``, with the same
+    elementwise operations the scalar scorers use, so a false entry is
+    exact: that request's removal changes no charged unit.
 
-    Passing a memo also switches on dirty-edge skipping *within* a call
-    (see :func:`improve_paths`).  A memo is only valid across instances
-    that share ``path_edges`` arrays by identity — exactly what
-    :meth:`~repro.core.instance.SPMInstance.restrict` chains guarantee;
-    never share one across unrelated instances.
+    This is the screen of the local search.  A path swap whose removal
+    half lowers no ceiling cannot lower the cost: edges only on the
+    candidate path only gain load, a shared edge ends at
+    ``(x - r) + r >= x - r``, and with non-negative prices the
+    price-times-ceiling sum over the same edges in the same order is
+    monotone in floating point.  A pruning removal that lowers no ceiling
+    saves exactly 0, never more than a bid (``value >= 0``).
     """
-
-    __slots__ = ("_unions", "_touch")
-
-    def __init__(self) -> None:
-        self._unions: dict[tuple, tuple] = {}
-        self._touch: dict[int, np.ndarray] = {}
-
-    def union(self, instance: SPMInstance, rid: int, cur: int, cand: int):
-        """``(affected, cur_pos, cand_pos)`` for a path-pair evaluation."""
-        key = (rid, cur, cand)
-        entry = self._unions.get(key)
-        if entry is None:
-            cur_edges = instance.path_edges[rid][cur]
-            cand_edges = instance.path_edges[rid][cand]
-            affected = np.unique(np.concatenate([cur_edges, cand_edges]))
-            entry = (
-                affected,
-                np.searchsorted(affected, cur_edges),
-                np.searchsorted(affected, cand_edges),
-            )
-            self._unions[key] = entry
-        return entry
-
-    def touch_edges(self, instance: SPMInstance, rid: int) -> np.ndarray:
-        """Every edge any candidate path of ``rid`` can load."""
-        arr = self._touch.get(rid)
-        if arr is None:
-            arr = np.unique(np.concatenate(instance.path_edges[rid]))
-            self._touch[rid] = arr
-        return arr
+    if not requests:
+        return np.zeros(0, dtype=bool)
+    edges = [
+        instance.path_edges[req.request_id][path]
+        for req, path in zip(requests, paths)
+    ]
+    counts = [e.size for e in edges]
+    rows = loads[np.concatenate(edges)]
+    owner = np.repeat(np.arange(len(requests)), counts)
+    start = np.repeat([req.start for req in requests], counts)
+    end = np.repeat([req.end for req in requests], counts)
+    rate = np.repeat([req.rate for req in requests], counts)
+    slots = np.arange(rows.shape[1])
+    inside = (slots >= start[:, None]) & (slots <= end[:, None])
+    removed = np.where(inside, rows - rate[:, None], rows)
+    before = np.ceil(rows.max(axis=1) - 1e-9).clip(min=0)
+    after = np.ceil(removed.max(axis=1) - 1e-9).clip(min=0)
+    return np.bincount(owner, weights=after < before, minlength=len(requests)) > 0
 
 
 def improve_paths(
@@ -234,7 +266,6 @@ def improve_paths(
     assignment: dict[int, int | None],
     *,
     max_passes: int = 5,
-    memo: ImproveMemo | None = None,
 ) -> dict[int, int | None]:
     """Greedy path-reassignment descent on the charged-bandwidth cost.
 
@@ -247,18 +278,15 @@ def improve_paths(
     Candidate moves are evaluated *without mutating* the shared load
     matrix: the affected rows are copied, the move applied to the copy in
     the same operation order a real move uses, and the charged costs
-    compared.  Only an accepted move touches ``loads``.  Evaluations
-    therefore depend solely on the current loads of the request's own
-    candidate edges — which makes the following sound:
+    compared.  Only an accepted move touches ``loads``.
 
-    With a ``memo``, requests whose candidate-edge neighborhood has not
-    changed since their last evaluation are skipped.  A skipped request
-    would re-derive byte-for-byte the same deltas from byte-for-byte the
-    same loads and reach the same "no move" decision, so the descent
-    trajectory — every move, every sweep, the final assignment — is
-    identical to the exhaustive scan.  In the typical Metis profile the
-    final sweep is a full no-op, and dirty-skipping eliminates almost all
-    of it.
+    Only requests whose removal lowers some charged ceiling are scored
+    (:func:`ceiling_drops`; any other swap provably cannot lower the cost).
+    The screen runs once per sweep and again over the rest of the sweep
+    after every accepted move, so the Gauss–Seidel trajectory — every
+    move, every sweep, the final assignment — is that of the exhaustive
+    scan.  With a negative price the argument fails, and every request is
+    scored.
 
     Complexity is ``O(max_passes * K * L * h * T)`` where ``h`` bounds path
     length — the dominant non-LP cost of the Metis inner loop.
@@ -268,6 +296,7 @@ def improve_paths(
     assignment = dict(assignment)
     loads = instance.loads(assignment)
     prices = instance.prices
+    screened = bool((prices >= 0).all())
 
     def cost_of(edge_indices: np.ndarray) -> float:
         peaks = loads[edge_indices].max(axis=1)
@@ -275,31 +304,26 @@ def improve_paths(
             (prices[edge_indices] * np.ceil(peaks - 1e-9).clip(min=0)).sum()
         )
 
-    track = memo is not None
-    if track:
-        # Edge-modification clock: version[e] is the tick of the last move
-        # touching edge e; stamps[rid] is the clock when rid was last
-        # evaluated.  A request is clean iff none of its candidate edges
-        # moved since — its own accepted move bumps its edges, so a moved
-        # request always re-evaluates next sweep.
-        version = np.zeros(instance.num_edges, dtype=np.int64)
-        stamps: dict[int, int] = {}
-        tick = 0
+    def screen(requests: list, paths: list[int]) -> np.ndarray:
+        if not screened:
+            return np.ones(len(requests), dtype=bool)
+        return ceiling_drops(instance, loads, requests, paths)
 
     for _ in range(max_passes):
         changed = False
-        for req in instance.requests:
-            rid = req.request_id
-            current = assignment[rid]
-            if current is None or instance.num_paths(rid) < 2:
+        movable = [
+            req
+            for req in instance.requests
+            if assignment[req.request_id] is not None
+            and instance.num_paths(req.request_id) >= 2
+        ]
+        paths = [assignment[req.request_id] for req in movable]
+        flags = screen(movable, paths)
+        for pos, req in enumerate(movable):
+            if not flags[pos]:
                 continue
-            if track:
-                stamp = stamps.get(rid)
-                if stamp is not None:
-                    touch = memo.touch_edges(instance, rid)
-                    if not touch.size or version[touch].max() <= stamp:
-                        continue
-                stamps[rid] = tick
+            rid = req.request_id
+            current = paths[pos]
             window = slice(req.start, req.end + 1)
             cur_edges = instance.path_edges[rid][current]
             rate = req.rate
@@ -308,17 +332,10 @@ def improve_paths(
             for candidate in range(instance.num_paths(rid)):
                 if candidate == current:
                     continue
-                if memo is not None:
-                    affected, cur_pos, cand_pos = memo.union(
-                        instance, rid, current, candidate
-                    )
-                else:
-                    cand_edges = instance.path_edges[rid][candidate]
-                    affected = np.unique(
-                        np.concatenate([cur_edges, cand_edges])
-                    )
-                    cur_pos = np.searchsorted(affected, cur_edges)
-                    cand_pos = np.searchsorted(affected, cand_edges)
+                cand_edges = instance.path_edges[rid][candidate]
+                affected = np.unique(np.concatenate([cur_edges, cand_edges]))
+                cur_pos = np.searchsorted(affected, cur_edges)
+                cand_pos = np.searchsorted(affected, cand_edges)
                 before = cost_of(affected)
                 block = loads[affected]
                 block[cur_pos, window] -= rate
@@ -337,10 +354,7 @@ def improve_paths(
                 loads[new_edges, window] += rate
                 assignment[rid] = best_path
                 changed = True
-                if track:
-                    tick += 1
-                    version[cur_edges] = tick
-                    version[new_edges] = tick
+                flags[pos + 1 :] = screen(movable[pos + 1 :], paths[pos + 1 :])
         if not changed:
             break
     return assignment

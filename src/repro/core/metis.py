@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.instance import SPMInstance
-from repro.core.maa import ImproveMemo, improve_paths, solve_maa
+from repro.core.maa import ceiling_drops, improve_paths, solve_maa
 from repro.core.schedule import Schedule
 from repro.core.taa import solve_taa
 from repro.util.rng import ensure_rng
@@ -65,18 +65,21 @@ def prune_unprofitable(instance: SPMInstance, schedule: Schedule) -> Schedule:
     marginal cost exceeds its bid.  Returns a new schedule; the input is
     untouched.  Profit never decreases: each removal changes profit by
     ``saving - value > 0``.
+
+    A saving above a bid (``value >= 0``) needs a ceiling drop, so each
+    pass scores only the requests :func:`~repro.core.maa.ceiling_drops`
+    flags, plus those sharing an edge with a removal earlier in the pass;
+    every other request would score a saving of exactly 0.
     """
     assignment = dict(schedule.assignment)
     loads = schedule.loads.copy()
     prices = instance.prices
 
-    def marginal_saving(req, path_idx: int) -> float:
-        window = slice(req.start, req.end + 1)
-        edge_indices = instance.path_edges[req.request_id][path_idx]
-        before = np.ceil(loads[edge_indices].max(axis=1) - 1e-9).clip(min=0)
-        loads[edge_indices, window] -= req.rate
-        after = np.ceil(loads[edge_indices].max(axis=1) - 1e-9).clip(min=0)
-        loads[edge_indices, window] += req.rate
+    def marginal_saving(req, edge_indices: np.ndarray) -> float:
+        rows = loads[edge_indices]
+        before = np.ceil(rows.max(axis=1) - 1e-9).clip(min=0)
+        rows[:, req.start : req.end + 1] -= req.rate
+        after = np.ceil(rows.max(axis=1) - 1e-9).clip(min=0)
         return float((prices[edge_indices] * (before - after)).sum())
 
     # Sort once; later passes walk the same order skipping removed
@@ -91,16 +94,21 @@ def prune_unprofitable(instance: SPMInstance, schedule: Schedule) -> Schedule:
         ),
         key=lambda r: r.value,
     )
+    touched = np.zeros(instance.num_edges, dtype=bool)
     while True:
+        order = [req for req in order if assignment[req.request_id] is not None]
+        paths = [assignment[req.request_id] for req in order]
+        flags = ceiling_drops(instance, loads, order, paths)
+        touched[:] = False
         removed_any = False
-        for req in order:
-            path_idx = assignment[req.request_id]
-            if path_idx is None:
+        for req, path_idx, flagged in zip(order, paths, flags):
+            edge_indices = instance.path_edges[req.request_id][path_idx]
+            if not flagged and not (removed_any and touched[edge_indices].any()):
                 continue
-            if marginal_saving(req, path_idx) > req.value:
+            if marginal_saving(req, edge_indices) > req.value:
                 window = slice(req.start, req.end + 1)
-                edge_indices = instance.path_edges[req.request_id][path_idx]
                 loads[edge_indices, window] -= req.rate
+                touched[edge_indices] = True
                 assignment[req.request_id] = None
                 removed_any = True
         if not removed_any:
@@ -258,15 +266,14 @@ class Metis:
     reference (``fast_path=False``), which is kept as the equivalence
     oracle.
 
-    ``warm_start`` (default, fast path only) reuses work across the
-    alternation's structurally-identical re-solves: RL/BL relaxations go
-    through per-structure :class:`~repro.lp.warmstart.ResolveSession`
-    caches (exact repeats and certified-dual capacity shrinks skip the
-    solver), and the local-search descent shares an
-    :class:`~repro.core.maa.ImproveMemo` so unchanged requests are never
-    re-evaluated.  Both reuse tiers are certified, so the outcome is
-    bit-identical to ``warm_start=False`` — the cold path is kept as the
-    equivalence oracle and the performance baseline.
+    ``warm_start`` (default, fast path only) governs only the LP solves:
+    RL/BL relaxations go through per-structure
+    :class:`~repro.lp.warmstart.ResolveSession` caches (exact repeats and
+    certified-dual capacity shrinks skip the solver).  Both reuse tiers
+    are certified, so the outcome is bit-identical to ``warm_start=False``
+    — the cold path is kept as the equivalence oracle and the performance
+    baseline.  The local search and pruning run the same exact
+    ceiling-drop screen either way.
     """
 
     def __init__(
@@ -299,10 +306,7 @@ class Metis:
         self.warm_start = warm_start and fast_path
 
     def _best_maa_schedule(
-        self,
-        instance: SPMInstance,
-        rng: np.random.Generator,
-        memo: ImproveMemo | None,
+        self, instance: SPMInstance, rng: np.random.Generator
     ) -> Schedule:
         best: Schedule | None = None
         for _ in range(self.maa_rounds):
@@ -315,9 +319,7 @@ class Metis:
                 warm_start=self.warm_start,
             ).schedule
             if self.local_search:
-                improved = improve_paths(
-                    instance, candidate.assignment, memo=memo
-                )
+                improved = improve_paths(instance, candidate.assignment)
                 candidate = Schedule(instance, improved)
             if best is None or candidate.cost < best.cost:
                 best = candidate
@@ -338,10 +340,6 @@ class Metis:
         gen = ensure_rng(rng)
         best = MetisRecord(profit=0.0, schedule=None, source="init")
         rounds: list[MetisRound] = []
-        # One improve-memo per solve: every restricted instance in the
-        # alternation shares the parent's path_edges arrays, which is the
-        # memo's validity condition.
-        memo = ImproveMemo() if self.warm_start and self.local_search else None
 
         def offer(candidate: Schedule, source: str, round_index: int) -> Schedule:
             """SP Updater: record ``candidate`` (and its pruning) if better.
@@ -373,7 +371,7 @@ class Metis:
             return MetisOutcome(best=best, rounds=rounds, initial_profit=0.0)
 
         # Initialization: accept every request, schedule with MAA.
-        schedule = self._best_maa_schedule(instance, gen, memo)
+        schedule = self._best_maa_schedule(instance, gen)
         initial_profit = schedule.profit
         schedule = offer(schedule, "maa", 0)
         capacities = {key: int(units) for key, units in schedule.charged.items()}
@@ -402,7 +400,7 @@ class Metis:
             maa_profit: float | None = None
             if accepted:
                 current = current.restrict(accepted)
-                schedule = self._best_maa_schedule(current, gen, memo)
+                schedule = self._best_maa_schedule(current, gen)
                 maa_profit = schedule.profit
                 schedule = offer(schedule, "maa", round_index)
                 if self.prune and schedule.declined_ids:

@@ -337,18 +337,18 @@ class TestSatellites:
         schedule = solve_maa(instance, rng=1).schedule
 
         # The pre-optimization reference: rebuild and re-sort the accepted
-        # list on every outer pass.
+        # list on every outer pass.  Each saving is evaluated on a copy of
+        # the path's rows (subtract-then-add is no bitwise restore).
         assignment = dict(schedule.assignment)
         loads = schedule.loads.copy()
         prices = instance.prices
 
         def marginal_saving(req, path_idx):
-            window = slice(req.start, req.end + 1)
             edge_indices = instance.path_edges[req.request_id][path_idx]
-            before = np.ceil(loads[edge_indices].max(axis=1) - 1e-9).clip(min=0)
-            loads[edge_indices, window] -= req.rate
-            after = np.ceil(loads[edge_indices].max(axis=1) - 1e-9).clip(min=0)
-            loads[edge_indices, window] += req.rate
+            rows = loads[edge_indices]
+            before = np.ceil(rows.max(axis=1) - 1e-9).clip(min=0)
+            rows[:, req.start : req.end + 1] -= req.rate
+            after = np.ceil(rows.max(axis=1) - 1e-9).clip(min=0)
             return float((prices[edge_indices] * (before - after)).sum())
 
         while True:

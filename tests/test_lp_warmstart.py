@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import SPMInstance
-from repro.core.maa import ImproveMemo, improve_paths, solve_maa
+from repro.core.maa import improve_paths, solve_maa
 from repro.core.metis import Metis
 from repro.core.online import OnlineScheduler, solve_batch
 from repro.core.schedule import Schedule
@@ -29,6 +29,8 @@ from repro.lp.solvers import solve_compiled_raw
 from repro.lp.warmstart import ResolveSession
 from repro.net.topologies import random_wan
 from repro.workload.request import Request, RequestSet
+
+from tests import oracles
 
 SLOTS = 6
 _TOL = 1e-9
@@ -219,28 +221,30 @@ class TestMetisWarmEquivalence:
 
     @given(random_instance())
     @common_settings
-    def test_improve_paths_memo_vs_no_memo_bitwise(self, instance):
+    def test_improve_paths_screened_vs_oracle_bitwise(self, instance):
         assignment = solve_maa(instance, rng=0).schedule.assignment
-        plain = improve_paths(instance, assignment)
-        memoized = improve_paths(instance, assignment, memo=ImproveMemo())
-        assert plain == memoized
+        exhaustive = oracles.improve_paths(instance, assignment)
+        screened = improve_paths(instance, assignment)
+        assert screened == exhaustive
         assert (
-            Schedule(instance, plain).cost == Schedule(instance, memoized).cost
+            Schedule(instance, exhaustive).cost
+            == Schedule(instance, screened).cost
         )
 
     @given(random_instance())
     @common_settings
-    def test_memo_survives_restrict_chains(self, instance):
-        """One memo across restrict() views stays correct (shared edge space)."""
+    def test_screen_survives_restrict_chains(self, instance):
+        """Restricted views share the load-cell cache and stay exact."""
         ids = list(instance.requests.request_ids)
-        memo = ImproveMemo()
         full = solve_maa(instance, rng=0).schedule.assignment
-        expected_full = improve_paths(instance, full)
-        assert improve_paths(instance, full, memo=memo) == expected_full
+        assert improve_paths(instance, full) == oracles.improve_paths(
+            instance, full
+        )
         sub = instance.restrict(ids[: max(1, len(ids) // 2)])
         sub_assignment = solve_maa(sub, rng=0).schedule.assignment
-        expected_sub = improve_paths(sub, sub_assignment)
-        assert improve_paths(sub, sub_assignment, memo=memo) == expected_sub
+        assert improve_paths(sub, sub_assignment) == oracles.improve_paths(
+            sub, sub_assignment
+        )
 
 
 class TestScreeningEquivalence:
