@@ -67,12 +67,13 @@ def best_of(fn, rounds):
 def test_formulation_compile_speedup(benchmark, instance, capacities):
     """RL-SPM + BL-SPM assembly: compiler vs expression layer, from cold.
 
-    One round = a fresh :class:`FormulationCompiler` (no structure cache)
-    assembling both relaxations, against the expression layer building and
-    compiling the same two models.  The floor is 5x at K=200 on B4 (2x in
-    smoke mode, where tiny models shrink the expression path's per-term
-    disadvantage); the warm-cache numbers — what Metis rounds 2..theta
-    actually pay — are printed alongside.
+    One round = a fresh :class:`SPMInstance` over the same paths (so the
+    incidence table is built again) and a fresh :class:`FormulationCompiler`
+    (no structure cache) assembling both relaxations, against the
+    expression layer building and compiling the same two models.  The
+    floor is 5x at K=200 on B4 (2x in smoke mode, where tiny models shrink
+    the expression path's per-term disadvantage); the warm-cache numbers —
+    what Metis rounds 2..theta actually pay — are printed alongside.
     """
     ref_rl = build_rl_spm(instance).model.compile()
     ref_bl = build_bl_spm(instance, capacities).model.compile()
@@ -92,9 +93,12 @@ def test_formulation_compile_speedup(benchmark, instance, capacities):
         build_bl_spm(instance, capacities).model.compile()
 
     def assemble_cold():
-        fresh = FormulationCompiler(instance)
-        fresh.compile_rl_spm(instance)
-        fresh.compile_bl_spm(instance, capacities)
+        cold = SPMInstance(
+            instance.topology, instance.requests, instance.paths
+        )
+        fresh = FormulationCompiler(cold)
+        fresh.compile_rl_spm(cold)
+        fresh.compile_bl_spm(cold, capacities)
 
     def assemble_warm():
         compiler.compile_rl_spm(instance)

@@ -67,7 +67,7 @@ def test_fast_build_speedup(benchmark, instance):
     for req in instance.requests:
         by_start.setdefault(req.start, []).append(req.request_id)
     batches = [by_start[slot] for slot in sorted(by_start)]
-    compiler = instance.batch_compiler()
+    compiler = instance.formulation_compiler()
 
     committed = np.zeros((instance.num_edges, instance.num_slots))
     charged = np.zeros(instance.num_edges)
@@ -86,7 +86,7 @@ def test_fast_build_speedup(benchmark, instance):
 
     def build_fast():
         for batch in batches:
-            compiler.compile_batch(batch, committed, charged)
+            compiler.compile_batch(instance, batch, committed, charged)
 
     def best_of(fn, rounds):
         times = []

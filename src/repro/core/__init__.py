@@ -26,10 +26,8 @@ from repro.core.metis import (
 from repro.core.hardness import spm_from_subset_sum, subset_from_solution
 from repro.core.online import (
     BatchDecision,
-    IncrementalBatchCompiler,
     OnlineOutcome,
     OnlineScheduler,
-    decide_batch,
     solve_batch,
 )
 from repro.core.flexible import FlexibleResult, flexibility_gain, solve_flexible_spm
@@ -64,8 +62,6 @@ __all__ = [
     "OnlineOutcome",
     "OnlineScheduler",
     "BatchDecision",
-    "IncrementalBatchCompiler",
-    "decide_batch",
     "solve_batch",
     "FlexibleResult",
     "solve_flexible_spm",

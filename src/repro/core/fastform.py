@@ -1,30 +1,36 @@
-"""Array-native compilation of the offline SPM formulations.
+"""Array-native compilation of the SPM formulations and the batch MILP.
 
-The expression-layer builders in :mod:`repro.core.formulations` are the
-readable reference, but every Metis alternation round rebuilds the RL-SPM
-and BL-SPM relaxations from scratch through dict-backed
-:class:`~repro.lp.expr.LinExpr` rows — a quadruple Python loop over
-requests × paths × edges × slots per model.  :class:`FormulationCompiler`
-is the offline counterpart of the serving layer's
-:class:`~repro.core.online.IncrementalBatchCompiler`: it precomputes each
-request's (path, edge, slot) incidence triplets once per instance and then
-emits the RL-SPM, BL-SPM and full-SPM compiled models with vectorized
-numpy assembly, reusing :func:`repro.lp.fastbuild.compile_coo`.
+The expression-layer builders in :mod:`repro.core.formulations` (and
+:func:`repro.core.online.build_incremental_spm` for the serving layer's
+per-batch MILP) are the readable reference, but they build every model
+through dict-backed :class:`~repro.lp.expr.LinExpr` rows — a quadruple
+Python loop over requests × paths × edges × slots per model.
+:class:`FormulationCompiler` assembles the same models with vectorized
+numpy from the instance's shared incidence table
+(:meth:`repro.core.instance.SPMInstance.incidence`, built once per request
+and shared by every restricted or repriced view), reusing
+:func:`repro.lp.fastbuild.compile_coo`.  Four kinds share one assembly:
+
+* RL-SPM, BL-SPM and the full SPM over the instance's request set;
+* the incremental batch MILP (:meth:`FormulationCompiler.compile_batch`):
+  the SPM over one arrival batch whose ``c`` columns are the units bought
+  beyond what is already charged (unbounded even on capped links) and
+  whose capacity rows carry the residual headroom.
 
 The fast build mirrors the reference build's row order (per-request rows
 first, capacity rows in first-appearance order), column order (x columns
 in request/path order, then c columns in edge order) and float arithmetic
 exactly, so both hand HiGHS *bitwise-identical* matrices — asserted
-matrix-by-matrix in ``tests/test_core_fastform.py``.
+matrix-by-matrix in ``tests/test_core_fastform.py`` and
+``tests/test_lp_fastbuild.py``.
 
 Between Metis rounds the request set only shrinks and the capacities only
-tighten, so the compiler additionally caches each assembled structure per
-(model kind, active-request tuple): a repeat solve over the same request
-set reuses the cached sparse matrix and — for BL-SPM, whose capacities
-enter solely through the capacity-row right-hand sides — rewrites only
-``row_upper``.  A shrunken request set re-assembles from the precomputed
-per-request arrays (a column/row masking of the parent's incidence) rather
-than re-running the Python incidence loops.
+tighten, so the compiler additionally caches each assembled offline
+structure per (model kind, active-request tuple): a repeat solve over the
+same request set reuses the cached sparse matrix and — for BL-SPM, whose
+capacities enter solely through the capacity-row right-hand sides —
+rewrites only ``row_upper``.  A shrunken request set re-assembles from the
+shared per-request incidence rather than re-running any incidence loop.
 
 Compiled models built here carry no symbolic variables; solve them with
 :func:`repro.lp.solvers.solve_compiled_raw` and read path weights from the
@@ -119,14 +125,14 @@ class _Structure:
 
 
 class FormulationCompiler:
-    """Array-native builder for RL-SPM, BL-SPM and full-SPM models.
+    """Array-native builder for RL-SPM, BL-SPM, full-SPM and batch models.
 
     Obtain the cached compiler via
     :meth:`repro.core.instance.SPMInstance.formulation_compiler`; restricted
-    instances share their parent's compiler (and hence its per-request
-    incidence cache), so the θ-round shrink loop never recomputes
-    incidence.  Every ``compile_*`` method takes the (possibly restricted)
-    instance whose request set defines the model.
+    instances share their parent's compiler (and every view shares the
+    instance's incidence table), so the θ-round shrink loop never
+    recomputes incidence.  Every ``compile_*`` method takes the (possibly
+    restricted) instance whose request set defines the model.
     """
 
     def __init__(self, instance) -> None:
@@ -136,98 +142,7 @@ class FormulationCompiler:
         self._topology = instance.topology
         self._edges = instance.edges
         self._c_upper: np.ndarray | None = None  # SPM ceilings, lazy
-        #: rid -> (num_paths, keys, path_cols, rates, path_entry_counts, value)
-        self._per_request: dict[int, tuple] = {}
         self._structures: OrderedDict[tuple, _Structure] = OrderedDict()
-        self._ensure_requests(instance)
-
-    # ---------------------------------------------------------- incidence
-
-    def _ensure_requests(self, instance) -> None:
-        """Cache the incidence arrays of every request of ``instance``.
-
-        All missing requests are flattened in one batch of array ops: the
-        cross product of each path edge with its request's slot window is
-        laid out (entry-major, slot-minor) — the same nesting the
-        expression builders walk, so first-appearance order of
-        (edge, slot) keys (and hence cap-row order) matches — and the
-        global arrays are then split back per request.
-        """
-        missing = [
-            req
-            for req in instance.requests
-            if req.request_id not in self._per_request
-        ]
-        if not missing:
-            return
-        num_slots = self.num_slots
-        per_path = [
-            (req, edges)
-            for req in missing
-            for edges in instance.path_edges[req.request_id]
-        ]
-        path_sizes = np.array([edges.size for _, edges in per_path], dtype=np.int64)
-        slots_per_path = np.array(
-            [req.end - req.start + 1 for req, _ in per_path], dtype=np.int64
-        )
-        # Per path: its local index within its request, and per (path, edge)
-        # entry: the edge index, request start and slot count.
-        paths_per_req = np.array(
-            [len(instance.path_edges[req.request_id]) for req in missing],
-            dtype=np.int64,
-        )
-        path_starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(paths_per_req)]
-        )
-        local_path = np.arange(path_starts[-1], dtype=np.int64) - np.repeat(
-            path_starts[:-1], paths_per_req
-        )
-        entry_edge = (
-            np.concatenate([edges for _, edges in per_path]).astype(np.int64)
-            if per_path
-            else np.zeros(0, dtype=np.int64)
-        )
-        entry_path = np.repeat(local_path, path_sizes)
-        entry_slots = np.repeat(slots_per_path, path_sizes)
-        entry_start = np.repeat(
-            np.array([req.start for req, _ in per_path], dtype=np.int64),
-            path_sizes,
-        )
-        # Expand each entry into its slot window.
-        block_starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(entry_slots)]
-        )
-        within = np.arange(block_starts[-1], dtype=np.int64) - np.repeat(
-            block_starts[:-1], entry_slots
-        )
-        keys_all = (
-            np.repeat(entry_edge, entry_slots) * num_slots
-            + np.repeat(entry_start, entry_slots)
-            + within
-        )
-        path_cols_all = np.repeat(entry_path, entry_slots)
-        rates_all = np.repeat(
-            np.array([float(req.rate) for req, _ in per_path]),
-            path_sizes * slots_per_path,
-        )
-        counts_all = path_sizes * slots_per_path  # per path, across requests
-
-        # Split the flat arrays back per request.
-        entries_per_path_req = np.add.reduceat(counts_all, path_starts[:-1])
-        cuts = np.cumsum(entries_per_path_req)[:-1]
-        keys_split = np.split(keys_all, cuts)
-        cols_split = np.split(path_cols_all, cuts)
-        rates_split = np.split(rates_all, cuts)
-        counts_split = np.split(counts_all, path_starts[1:-1])
-        for i, req in enumerate(missing):
-            self._per_request[req.request_id] = (
-                int(paths_per_req[i]),
-                keys_split[i],
-                cols_split[i],
-                rates_split[i],
-                counts_split[i],
-                float(req.value),
-            )
 
     def _spm_c_upper(self) -> np.ndarray:
         if self._c_upper is None:
@@ -250,42 +165,47 @@ class FormulationCompiler:
         if cached is not None:
             self._structures.move_to_end(key)
             return cached
-        self._ensure_requests(instance)
-        structure = self._assemble(rids, kind, integral)
+        structure = self._assemble(instance.incidence(rids), kind, integral)
         self._structures[key] = structure
         while len(self._structures) > _STRUCTURE_CACHE_SIZE:
             self._structures.popitem(last=False)
         return structure
 
-    def _assemble(self, rids: tuple, kind: str, integral: bool) -> _Structure:
-        num_slots, num_edges = self.num_slots, self.num_edges
-        per = [self._per_request[rid] for rid in rids]
-        num_requests = len(rids)
+    def _assemble(
+        self, per: list, kind: str, integral: bool, headroom=None
+    ) -> _Structure:
+        """Assemble one model of ``kind`` over the incidence list ``per``.
 
-        paths_per_req = np.array([p[0] for p in per], dtype=np.int64)
+        ``kind`` is ``"rl"``, ``"bl"``, ``"spm"`` or ``"batch"``; the batch
+        kind is the SPM with unbounded ``c`` columns and capacity-row
+        right-hand sides ``charged[e] - committed[e, t]`` from
+        ``headroom = (committed_loads, charged)``.
+        """
+        num_slots, num_edges = self.num_slots, self.num_edges
+        num_requests = len(per)
+
+        paths_per_req = np.array([len(p.cells) for p in per], dtype=np.int64)
         x_offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(paths_per_req)]
         )
         num_x = int(x_offsets[-1])
 
         # Flattened incidence across the active requests (request-major,
-        # path-major within a request, slot-minor within a path edge).
+        # path-major within a request, slot-minor within a path edge):
+        # x column ``k`` owns the next ``entries_per_x[k]`` entries.
+        path_keys = [keys for p in per for keys in p.cells]
+        entries_per_x = np.array(
+            [keys.size for keys in path_keys], dtype=np.int64
+        )
         entry_keys = (
-            np.concatenate([p[1] for p in per])
-            if per else np.zeros(0, dtype=np.int64)
+            np.concatenate(path_keys)
+            if path_keys else np.zeros(0, dtype=np.int64)
         )
-        entry_x_cols = (
-            np.concatenate(
-                [x_offsets[i] + per[i][2] for i in range(num_requests)]
-            )
-            if per else np.zeros(0, dtype=np.int64)
+        entry_x_cols = np.repeat(
+            np.arange(num_x, dtype=np.int64), entries_per_x
         )
-        entry_data = (
-            np.concatenate([p[3] for p in per]) if per else np.zeros(0)
-        )
-        entries_per_x = (
-            np.concatenate([p[4] for p in per])
-            if per else np.zeros(0, dtype=np.int64)
+        entry_data = np.repeat(
+            np.array([p.rate for p in per for _ in p.cells]), entries_per_x
         )
 
         # Touched (edge, slot) pairs, ranked in first-appearance order —
@@ -302,9 +222,9 @@ class FormulationCompiler:
         cap_slots = (uniq_keys % num_slots)[appearance]
 
         # One per-request row (== 1 for RL, <= 1 otherwise), then the
-        # capacity rows; RL/SPM couple each capacity row to its edge's c
-        # column with a -1 coefficient.
-        has_c = kind in ("rl", "spm")
+        # capacity rows; RL/SPM/batch couple each capacity row to its
+        # edge's c column with a -1 coefficient.
+        has_c = kind != "bl"
         choice_rows = np.repeat(
             np.arange(num_requests, dtype=np.int64), paths_per_req
         )
@@ -326,20 +246,26 @@ class FormulationCompiler:
         if kind == "rl":
             row_lower[:num_requests] = 1.0  # satisfy every request exactly
         row_upper[:num_requests] = 1.0
-        # ``load <= c_var`` normalizes to rhs ``-0.0`` in the expression
-        # layer (``-expr.constant`` with constant ``+0.0``); mirror the bit
-        # pattern so the compiled arrays are memcmp-identical, not just
-        # ``==``-equal.  BL overwrites this span with capacities.
-        row_upper[num_requests:] = -0.0
+        if kind == "batch":
+            committed_loads, charged = headroom
+            row_upper[num_requests:] = (
+                charged[cap_edges] - committed_loads[cap_edges, cap_slots]
+            )
+        else:
+            # ``load <= c_var`` normalizes to rhs ``-0.0`` in the expression
+            # layer (``-expr.constant`` with constant ``+0.0``); mirror the
+            # bit pattern so the compiled arrays are memcmp-identical, not
+            # just ``==``-equal.  BL overwrites this span with capacities.
+            row_upper[num_requests:] = -0.0
 
         objective = np.zeros(num_vars)
         if kind != "rl":
             objective[:num_x] = np.repeat(
-                np.array([p[5] for p in per]), paths_per_req
+                np.array([p.value for p in per]), paths_per_req
             )
         if kind == "rl":
             objective[num_x:] = self.prices
-        elif kind == "spm":
+        elif has_c:
             objective[num_x:] = -self.prices
 
         var_lower = np.zeros(num_vars)
@@ -467,6 +393,34 @@ class FormulationCompiler:
             tuple(instance.requests.request_ids),
             structure.compiled,
         )
+
+    def compile_batch(
+        self,
+        instance,
+        batch_ids: list[int],
+        committed_loads: np.ndarray,
+        charged: np.ndarray,
+    ) -> tuple[CompiledModel, np.ndarray]:
+        """One arrival batch's incremental MILP: ``(compiled, x_offsets)``.
+
+        The SPM over ``batch_ids`` with the running state folded in:
+        ``c`` becomes the integer units bought beyond ``charged`` (no upper
+        bound, even on capped links) and each capacity row's right-hand
+        side is the headroom ``charged[e] - committed_loads[e, t]``.
+        ``x_offsets`` has ``len(batch_ids) + 1`` entries: request ``i`` of
+        the batch owns x-columns ``x_offsets[i]:x_offsets[i + 1]``, one per
+        candidate path, and the ``c`` columns for all edges follow.
+        Bitwise identical to compiling
+        :func:`repro.core.online.build_incremental_spm`.  Batch models are
+        one-shot (the state moves every batch), so nothing is cached.
+        """
+        structure = self._assemble(
+            instance.incidence(batch_ids),
+            "batch",
+            True,
+            headroom=(committed_loads, charged),
+        )
+        return structure.compiled, structure.x_offsets
 
     # ----------------------------------------------------------- readback
 

@@ -6,7 +6,13 @@
 * the request set (one billing cycle of ``T`` slots);
 * for every request ``i`` the pre-enumerated candidate path set
   ``P_i = {P_{i,1}, ..., P_{i,L_i}}`` (k cheapest simple paths);
-* the edge index and the path-edge incidence ``I_{i,j,e}`` in array form.
+* the edge index and the path-edge incidence ``I_{i,j,e}`` in array form;
+* the incidence spread over each request's slot window — one
+  :class:`Incidence` per request, filled lazily by the instance's single
+  builder and shared by every :meth:`~SPMInstance.restrict` and
+  :meth:`~SPMInstance.reprice` view (incidence does not depend on prices).
+  The formulation compiler assembles every model from it and
+  :meth:`~SPMInstance.loads` sums it.
 
 Path enumeration is memoized on the topology per (source, dest, k), so
 instances over the same topology share the enumeration work.
@@ -15,6 +21,7 @@ instances over the same topology share the enumeration work.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +30,23 @@ from repro.net.paths import Path
 from repro.net.topology import Topology
 from repro.workload.request import Request, RequestSet
 
-__all__ = ["SPMInstance"]
+__all__ = ["Incidence", "SPMInstance"]
 
 NodeId = Hashable
 EdgeKey = tuple[NodeId, NodeId]
+
+
+class Incidence(NamedTuple):
+    """One request's incidence ``I_{i,j,e}`` spread over its slot window.
+
+    ``cells[j]`` holds the cells ``edge * T + slot`` that candidate path
+    ``j`` loads with ``rate`` — edge-major, slot-minor, the nesting the
+    expression builders walk.  ``value`` is the request's bid.
+    """
+
+    cells: list[np.ndarray]
+    rate: float
+    value: float
 
 
 class SPMInstance:
@@ -64,13 +84,11 @@ class SPMInstance:
             ]
             for req_id, path_list in paths.items()
         }
-        # Lazily-built array-native compilers (see batch_compiler() and
-        # formulation_compiler()).
-        self._batch_compiler = None
+        # Lazily-built array-native compiler (see formulation_compiler()).
         self._fastform = None
-        # (request id, path) -> flat load cells and rates, filled on first
-        # use by loads(); shared with restrict()/reprice() views.
-        self._cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # request id -> Incidence, filled on first use by incidence();
+        # shared with restrict()/reprice() views.
+        self._incidence: dict[int, Incidence] = {}
 
     # ----------------------------------------------------------- constructors
 
@@ -93,13 +111,13 @@ class SPMInstance:
         """The same instance over a subset of the requests — zero-copy.
 
         The restricted instance *shares* the parent's edge order, edge
-        index, price vector, per-path edge arrays, the load-cell cache and
-        any lazily-built array-native compilers (all are keyed per request
+        index, price vector, per-path edge arrays, the incidence table and
+        the lazily-built formulation compiler (all are keyed per request
         id, so a subset view stays valid); only the request subset and its
         path-dict views are new.  Metis restricts once per alternation
         round, so rebuilding the incidence arrays here used to dominate the
         non-solver round cost.  Nothing mutates the shared state after
-        construction (the load-cell cache only gains entries).
+        construction (the incidence table only gains entries).
         """
         subset = self.requests.subset(request_ids)
         child = SPMInstance.__new__(SPMInstance)
@@ -112,19 +130,19 @@ class SPMInstance:
         child.path_edges = {
             req.request_id: self.path_edges[req.request_id] for req in subset
         }
-        child._batch_compiler = self._batch_compiler
         child._fastform = self._fastform
-        child._cells = self._cells
+        child._incidence = self._incidence
         return child
 
     def reprice(self, prices: np.ndarray) -> "SPMInstance":
         """The same instance under a different price vector — zero-copy.
 
         Shares the topology, requests, paths, edge order, per-path edge
-        arrays and load-cell cache; only ``prices`` is replaced.  The
-        lazily-built compilers are *not* shared (both read the price
-        vector), so the repriced instance compiles fresh models against the
-        new prices while the parent's caches stay valid.
+        arrays and incidence table; only ``prices`` is replaced.  The
+        lazily-built formulation compiler is *not* shared (it reads the
+        price vector), so the repriced instance compiles fresh models
+        against the new prices — from the shared incidence — while the
+        parent's caches stay valid.
 
         This is the decision-steering hook of the Lagrangian decomposition
         (:mod:`repro.decomp`): shard subproblems solve against
@@ -143,9 +161,8 @@ class SPMInstance:
         child.edge_index = self.edge_index
         child.prices = prices
         child.path_edges = self.path_edges
-        child._batch_compiler = None
         child._fastform = None
-        child._cells = self._cells
+        child._incidence = self._incidence
         return child
 
     # -------------------------------------------------------------- accessors
@@ -183,29 +200,16 @@ class SPMInstance:
         """The incidence indicator ``I_{i,j,e}``."""
         return edge_idx in self.path_edges[request_id][path_idx]
 
-    def batch_compiler(self):
-        """The instance's array-native incremental-batch compiler, cached.
-
-        Precomputes every request's (path, edge, slot) incidence arrays
-        once, so the serving loop's per-batch MILPs assemble with
-        vectorized numpy operations instead of the expression layer.
-        Returns a :class:`repro.core.online.IncrementalBatchCompiler`
-        (imported lazily to avoid a module cycle).
-        """
-        if self._batch_compiler is None:
-            from repro.core.online import IncrementalBatchCompiler
-
-            self._batch_compiler = IncrementalBatchCompiler(self)
-        return self._batch_compiler
-
     def formulation_compiler(self):
         """The instance's array-native formulation compiler, cached.
 
-        Precomputes every request's (path, edge, slot) incidence arrays
-        once and emits the RL-SPM / BL-SPM / full-SPM compiled models with
-        vectorized numpy assembly, bitwise identical to the expression
-        builders in :mod:`repro.core.formulations`.  Restricted instances
-        share their parent's compiler (see :meth:`restrict`).  Returns a
+        Emits the RL-SPM / BL-SPM / full-SPM compiled models and the
+        serving layer's incremental batch MILP from the instance's
+        incidence table with vectorized numpy assembly, bitwise identical
+        to the expression builders in :mod:`repro.core.formulations` and
+        :func:`repro.core.online.build_incremental_spm`.  Restricted
+        instances share their parent's compiler (see :meth:`restrict`).
+        Returns a
         :class:`repro.core.fastform.FormulationCompiler` (imported lazily
         to avoid a module cycle).
         """
@@ -215,6 +219,69 @@ class SPMInstance:
             self._fastform = FormulationCompiler(self)
         return self._fastform
 
+    # ------------------------------------------------------------ incidence
+
+    def incidence(self, request_ids: list[int]) -> list[Incidence]:
+        """The :class:`Incidence` of each of ``request_ids``, in order.
+
+        Requests not yet in the shared table are filled in one call of
+        :meth:`_fill_incidence` first.
+        """
+        table = self._incidence
+        missing = [rid for rid in request_ids if rid not in table]
+        if missing:
+            self._fill_incidence(missing)
+        return [table[rid] for rid in request_ids]
+
+    def _fill_incidence(self, request_ids: list[int]) -> None:
+        """Build the incidence of ``request_ids`` into the shared table.
+
+        The only builder of the (request, path, edge, slot) incidence.  All
+        requests are flattened together with array ops — every path edge
+        crossed with its request's slot window, entry-major and
+        slot-minor — and the flat key array is then cut into per-path
+        views.
+        """
+        reqs = [self.requests[rid] for rid in request_ids]
+        path_lists = [self.path_edges[rid] for rid in request_ids]
+        paths_per_req = [len(path_list) for path_list in path_lists]
+        flat_paths = [edges for path_list in path_lists for edges in path_list]
+
+        # Per path: its request's start and window width, its edge count.
+        starts = np.repeat([req.start for req in reqs], paths_per_req)
+        widths = np.repeat(
+            [req.end - req.start + 1 for req in reqs], paths_per_req
+        )
+        sizes = np.array([edges.size for edges in flat_paths])
+
+        # Per (path, edge) entry: one key ``edge * T + start + offset`` per
+        # slot of its window.  Subtracting the entry's first flat position
+        # lets one global ``arange`` supply every offset.
+        entry_widths = np.repeat(widths, sizes)
+        entry_first = np.cumsum(entry_widths) - entry_widths
+        entry_base = (
+            np.concatenate(flat_paths).astype(np.int64, copy=False)
+            * self.num_slots
+            + np.repeat(starts, sizes)
+            - entry_first
+        )
+        keys = np.repeat(entry_base, entry_widths) + np.arange(
+            int(entry_widths.sum()), dtype=np.int64
+        )
+        keys.flags.writeable = False  # every view of the table shares it
+
+        bounds = [0] + np.cumsum(sizes * widths).tolist()
+        path_keys = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        table = self._incidence
+        first = 0
+        for rid, req, count in zip(request_ids, reqs, paths_per_req):
+            table[rid] = Incidence(
+                cells=path_keys[first : first + count],
+                rate=float(req.rate),
+                value=float(req.value),
+            )
+            first += count
+
     # ---------------------------------------------------------------- loads
 
     def loads(self, assignment: dict[int, int | None]) -> np.ndarray:
@@ -223,39 +290,30 @@ class SPMInstance:
         ``assignment`` maps request id -> chosen path index (or ``None`` for
         declined).  Returns an array of shape ``(num_edges, num_slots)``.
 
-        One ``bincount`` over the cached flat cells of every assigned
-        (request, path), in assignment order: bincount adds its weights
+        One ``bincount`` over every assigned (request, path) span of the
+        incidence table, in assignment order: bincount adds its weights
         in input order starting from 0.0, so each cell is summed exactly as
         a per-request ``loads[edges, window] += rate`` loop would sum it.
         """
-        cells: list[np.ndarray] = []
-        rates: list[np.ndarray] = []
-        for req_id, path_idx in assignment.items():
-            if path_idx is None:
-                continue
-            entry = self._cells.get((req_id, path_idx))
-            if entry is None:
-                entry = self._path_cells(req_id, path_idx)
-            cells.append(entry[0])
-            rates.append(entry[1])
-        if not cells:
+        picked = [(rid, j) for rid, j in assignment.items() if j is not None]
+        if not picked:
             return np.zeros((self.num_edges, self.num_slots))
+        table = self._incidence
+        missing = [rid for rid, _ in picked if rid not in table]
+        if missing:
+            self._fill_incidence(missing)
+        cells: list[np.ndarray] = []
+        rates: list[float] = []
+        for rid, path_idx in picked:
+            inc = table[rid]
+            cells.append(inc.cells[path_idx])
+            rates.append(inc.rate)
         flat = np.bincount(
             np.concatenate(cells),
-            weights=np.concatenate(rates),
+            weights=np.repeat(rates, [c.size for c in cells]),
             minlength=self.num_edges * self.num_slots,
         )
         return flat.reshape(self.num_edges, self.num_slots)
-
-    def _path_cells(self, req_id: int, path_idx: int):
-        """Cache and return ``(edge * T + slot cells, rates)`` of one path."""
-        req = self.requests[req_id]
-        edge_idx = self.path_edges[req_id][path_idx]
-        slots = np.arange(req.start, req.end + 1)
-        cells = (edge_idx[:, None] * self.num_slots + slots).ravel()
-        entry = (cells, np.full(cells.size, req.rate))
-        self._cells[(req_id, path_idx)] = entry
-        return entry
 
     def __repr__(self) -> str:
         return (

@@ -20,11 +20,12 @@ implements that variant on top of the same substrate:
 
 The batch MILP is built two ways.  :func:`build_incremental_spm` is the
 readable reference: dict-backed :class:`~repro.lp.expr.LinExpr` rows
-compiled per constraint.  :class:`IncrementalBatchCompiler` is the hot
-path: it precomputes each request's (path, edge, slot) incidence arrays
-once per instance and then emits the *identical* compiled sparse model
-per batch with vectorized numpy assembly — only the right-hand sides
-(residual headroom) change between batches.  Both produce the same
+compiled per constraint.  The hot path is one more model kind of the
+instance's :class:`~repro.core.fastform.FormulationCompiler`
+(:meth:`~repro.core.fastform.FormulationCompiler.compile_batch`): the SPM
+over the batch, assembled with vectorized numpy from the instance's shared
+incidence table, with the ``c`` columns read as extra units and the
+capacity-row right-hand sides as residual headroom.  Both produce the same
 matrix, so decisions are bitwise identical; the equivalence tests assert
 it.
 
@@ -35,7 +36,6 @@ dominance and the exactness of each batch step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +44,7 @@ from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.exceptions import InfeasibleError, SolverError, SolverTimeoutError
 from repro.lp.expr import LinExpr
-from repro.lp.fastbuild import compile_coo
-from repro.lp.model import CompiledModel, Model
+from repro.lp.model import Model
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
 from repro.lp.warmstart import relax
@@ -54,10 +53,8 @@ __all__ = [
     "OnlineOutcome",
     "OnlineScheduler",
     "BatchDecision",
-    "IncrementalBatchCompiler",
     "build_incremental_spm",
     "solve_batch",
-    "decide_batch",
     "commit_decision",
 ]
 
@@ -81,7 +78,8 @@ def build_incremental_spm(
     objective is batch revenue minus the price of the extra units.
 
     This is the expression-layer build the fast path
-    (:class:`IncrementalBatchCompiler`) is verified against.  Returns
+    (:meth:`~repro.core.fastform.FormulationCompiler.compile_batch`) is
+    verified against.  Returns
     ``(model, x_vars, extra_vars)``.
     """
     model = Model("incremental-spm")
@@ -139,147 +137,6 @@ def build_incremental_spm(
     return model, x_vars, extra_vars
 
 
-class IncrementalBatchCompiler:
-    """Array-native builder for the incremental batch MILP.
-
-    Per instance (once): every request's flattened (path, edge) × slot
-    incidence — for each candidate path, each edge it crosses, each active
-    slot — as three parallel arrays: the ``edge * T + slot`` key, the local
-    path index (the request's x-column offset) and the rate coefficient.
-    Obtain the cached compiler via
-    :meth:`repro.core.instance.SPMInstance.batch_compiler`.
-
-    Per batch (:meth:`compile_batch`): concatenate the cached arrays of the
-    batch's requests, rank the touched (edge, slot) keys in first-appearance
-    order, and emit the compiled sparse model whose rows, columns, and
-    coefficients are *identical* to compiling
-    :func:`build_incremental_spm` — only assembled with vectorized numpy
-    instead of per-term Python.  The per-batch state (``committed_loads``,
-    ``charged``) enters solely through the cap-row right-hand sides.
-    """
-
-    def __init__(self, instance: SPMInstance) -> None:
-        self.instance = instance
-        num_slots = instance.num_slots
-        #: request_id -> (num_paths, pair_keys, pair_path_cols, pair_rates, value)
-        self._per_request: dict[int, tuple] = {}
-        for req in instance.requests:
-            rid = req.request_id
-            path_edges = instance.path_edges[rid]
-            entry_path = np.concatenate(
-                [
-                    np.full(edges.size, j, dtype=np.int64)
-                    for j, edges in enumerate(path_edges)
-                ]
-            )
-            entry_edge = np.concatenate(path_edges).astype(np.int64)
-            slots = np.arange(req.start, req.end + 1, dtype=np.int64)
-            # Cross product in (entry-major, slot-minor) order — the same
-            # nesting the expression build walks, so first-appearance order
-            # of (edge, slot) keys (and hence cap-row order) matches.
-            keys = np.repeat(entry_edge, slots.size) * num_slots + np.tile(
-                slots, entry_edge.size
-            )
-            cols = np.repeat(entry_path, slots.size)
-            rates = np.full(keys.size, float(req.rate))
-            self._per_request[rid] = (
-                len(path_edges), keys, cols, rates, float(req.value)
-            )
-
-    def compile_batch(
-        self,
-        batch_ids: list[int],
-        committed_loads: np.ndarray,
-        charged: np.ndarray,
-    ) -> tuple[CompiledModel, np.ndarray]:
-        """Compile one batch's MILP; returns ``(compiled, x_offsets)``.
-
-        ``x_offsets`` has ``len(batch_ids) + 1`` entries: request ``i`` of
-        the batch owns x-columns ``x_offsets[i]:x_offsets[i + 1]``, one per
-        candidate path in path order.  The ``extra`` columns for all edges
-        follow the x block, exactly as in the reference build.
-        """
-        instance = self.instance
-        num_slots = instance.num_slots
-        num_edges = instance.num_edges
-        per = [self._per_request[rid] for rid in batch_ids]
-        num_batch = len(batch_ids)
-
-        paths_per_req = np.array([p[0] for p in per], dtype=np.int64)
-        x_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(paths_per_req)]
-        )
-        num_x = int(x_offsets[-1])
-
-        # One <= 1 choice row per batch request, coefficient 1 per path.
-        choice_rows = np.repeat(np.arange(num_batch, dtype=np.int64), paths_per_req)
-        choice_cols = np.arange(num_x, dtype=np.int64)
-
-        # Touched (edge, slot) pairs across the batch, first-appearance rank.
-        pair_keys = np.concatenate([p[1] for p in per])
-        pair_cols = np.concatenate(
-            [x_offsets[i] + per[i][2] for i in range(num_batch)]
-        )
-        pair_data = np.concatenate([p[3] for p in per])
-        uniq_keys, first_pos, inverse = np.unique(
-            pair_keys, return_index=True, return_inverse=True
-        )
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(appearance.size, dtype=np.int64)
-        rank[appearance] = np.arange(appearance.size)
-        num_cap = uniq_keys.size
-        cap_edges = (uniq_keys // num_slots)[appearance]
-        cap_slots = (uniq_keys % num_slots)[appearance]
-
-        # Each cap row also carries -1 on its edge's integer extra column.
-        rows = np.concatenate(
-            [
-                choice_rows,
-                num_batch + rank[inverse],
-                num_batch + np.arange(num_cap, dtype=np.int64),
-            ]
-        )
-        cols = np.concatenate(
-            [choice_cols, pair_cols, num_x + cap_edges]
-        )
-        data = np.concatenate(
-            [np.ones(num_x), pair_data, -np.ones(num_cap)]
-        )
-
-        num_rows = num_batch + num_cap
-        row_upper = np.empty(num_rows)
-        row_upper[:num_batch] = 1.0
-        row_upper[num_batch:] = charged[cap_edges] - committed_loads[cap_edges, cap_slots]
-        row_lower = np.full(num_rows, -np.inf)
-
-        num_vars = num_x + num_edges
-        objective = np.empty(num_vars)
-        objective[:num_x] = np.repeat(
-            np.array([p[4] for p in per]), paths_per_req
-        )
-        objective[num_x:] = -instance.prices
-
-        var_upper = np.empty(num_vars)
-        var_upper[:num_x] = 1.0
-        var_upper[num_x:] = np.inf
-
-        compiled = compile_coo(
-            objective=objective,
-            maximize=True,
-            rows=rows,
-            cols=cols,
-            data=data,
-            num_rows=num_rows,
-            row_lower=row_lower,
-            row_upper=row_upper,
-            var_lower=np.zeros(num_vars),
-            var_upper=var_upper,
-            integrality=np.ones(num_vars, dtype=np.int8),
-            check=False,
-        )
-        return compiled, x_offsets
-
-
 @dataclass(frozen=True)
 class BatchDecision:
     """A decided batch: path choice per position plus solve provenance.
@@ -316,11 +173,15 @@ def solve_batch(
     fast_path: bool = True,
     lp_screen: bool = False,
 ) -> BatchDecision:
-    """Decide one arrival batch; the full-provenance form of :func:`decide_batch`.
+    """Decide one arrival batch: path choice per position plus provenance.
 
     With ``fast_path`` (default) the MILP is assembled by the instance's
-    cached :class:`IncrementalBatchCompiler`; otherwise by the reference
-    expression build — the two are decision-identical.  With
+    cached :class:`~repro.core.fastform.FormulationCompiler`; otherwise by
+    the reference expression build — the two are decision-identical.
+    State arrays are not mutated — apply the decision with
+    :func:`commit_decision`.  The pure state-in/decision-out shape is what
+    lets :mod:`repro.service` cache decisions and ship them across solver
+    worker processes.  With
     ``accept_feasible`` (default) a solve that hits ``time_limit`` with an
     incumbent returns it as a valid (possibly suboptimal) decision; set it
     ``False`` for strict raise-on-non-optimal semantics.
@@ -342,8 +203,8 @@ def solve_batch(
     batch instead of crashing.
     """
     if fast_path:
-        compiled, x_offsets = instance.batch_compiler().compile_batch(
-            batch_ids, committed_loads, charged
+        compiled, x_offsets = instance.formulation_compiler().compile_batch(
+            instance, batch_ids, committed_loads, charged
         )
         if lp_screen:
             bound = solve_compiled_raw(
@@ -412,41 +273,6 @@ def _choices_from_values(
                 break
         choices.append(chosen)
     return tuple(choices)
-
-
-def decide_batch(
-    instance: SPMInstance,
-    batch_ids: list[int],
-    committed_loads: np.ndarray,
-    charged: np.ndarray,
-    *,
-    time_limit: float | None = None,
-    check_cancelled=None,
-    accept_feasible: bool = True,
-    fast_path: bool = True,
-    lp_screen: bool = False,
-) -> list[int | None]:
-    """Decide one arrival batch; chosen path index (or ``None``) per position.
-
-    Thin list-returning wrapper over :func:`solve_batch` (same keyword
-    semantics, including the sound ``lp_screen`` relaxation-bound skip).
-    State arrays are not mutated — apply the returned decision
-    with :func:`commit_decision`.  The pure state-in/decision-out shape is
-    what lets :mod:`repro.service` cache decisions and ship them across
-    solver worker processes.
-    """
-    decision = solve_batch(
-        instance,
-        batch_ids,
-        committed_loads,
-        charged,
-        time_limit=time_limit,
-        check_cancelled=check_cancelled,
-        accept_feasible=accept_feasible,
-        fast_path=fast_path,
-        lp_screen=lp_screen,
-    )
-    return list(decision.choices)
 
 
 def commit_decision(

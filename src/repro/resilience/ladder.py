@@ -31,8 +31,7 @@ profitable under the real tariff too.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from repro.core.online import _CEIL_TOL, commit_decision, solve_batch
 from repro.exceptions import SolverError, SolverTimeoutError
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
+from repro.lp.warmstart import relax
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import CycleBudget
 
@@ -129,8 +129,8 @@ def greedy_admission(
     each take their best-margin candidate path iff that margin (value
     minus incremental charged-unit cost) is non-negative; everyone else
     is declined.  The input state arrays are **not** mutated — the
-    returned decision has the same shape as
-    :func:`repro.core.online.decide_batch` and is applied with
+    returned decision has the choices of
+    :func:`repro.core.online.solve_batch` and is applied with
     :func:`repro.core.online.commit_decision`.
 
     Guarantees (property-tested): the decision is link-feasible on any
@@ -171,9 +171,9 @@ def lp_round_admission(
 ) -> list[int | None] | None:
     """LP-relaxation rounding — the rung between incumbent and greedy.
 
-    Compiles the *same* incremental batch model as the exact rung, zeroes
-    the integrality mask, and solves the relaxation (milliseconds even
-    where the MILP stalls).  The fractional solution only *guides*: per
+    Compiles the *same* incremental batch model as the exact rung and
+    solves its relaxation (:func:`~repro.lp.warmstart.relax`; milliseconds
+    even where the MILP stalls).  The fractional solution only *guides*: per
     request we take its highest-fraction path as the candidate, walk
     requests in descending fraction order, and admit each candidate only
     if its incremental margin is non-negative — so the rounding inherits
@@ -183,15 +183,14 @@ def lp_round_admission(
     Returns ``None`` when the relaxation itself fails inside the limit
     (the ladder then falls through to greedy).
     """
-    compiled, x_offsets = instance.batch_compiler().compile_batch(
-        batch_ids, committed_loads, charged
-    )
-    relaxed = dataclasses.replace(
-        compiled, integrality=np.zeros_like(compiled.integrality)
+    compiled, x_offsets = instance.formulation_compiler().compile_batch(
+        instance, batch_ids, committed_loads, charged
     )
     try:
         raw = solve_compiled_raw(
-            relaxed, time_limit=time_limit, check_cancelled=check_cancelled
+            relax(compiled),
+            time_limit=time_limit,
+            check_cancelled=check_cancelled,
         )
     except SolverError:
         return None

@@ -40,8 +40,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.decomp.ledger import BandwidthLedger
@@ -591,7 +589,9 @@ class ShardedBroker:
         if max_violation > _TOL:
             # Steer the next cycle's decisions, then make this one feasible.
             ledger.update_prices()
-            evicted = self._reconcile_cycle(requests, shard_ids, shard_results)
+            evicted = self._reconcile_cycle(
+                requests, shard_ids, shard_results, ledger
+            )
             ledger.record_evictions(len(evicted))
         return ShardedCycle(
             cycle=index,
@@ -666,6 +666,7 @@ class ShardedBroker:
         requests,
         shard_ids: list[list[int]],
         shard_results: list[CycleResult],
+        ledger: BandwidthLedger,
     ) -> tuple:
         """Evict acceptances until the combined loads respect every ceiling.
 
@@ -675,7 +676,8 @@ class ShardedBroker:
         affected shard's ledger (accepted counts, revenue, cost, profit,
         purchased units) is recomputed from its restricted instance under
         shard-local charging, keeping cycle profit the sum of shard
-        profits.
+        profits.  Link ceilings come from ``ledger`` (topology edge order,
+        the order of every instance over the topology).
         """
         config = self.config
         instance = SPMInstance.build(
@@ -684,15 +686,7 @@ class ShardedBroker:
         merged: dict[int, int | None] = {}
         for result in shard_results:
             merged.update(result.assignment)
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (
-                    self.topology.capacity(*key) for key in instance.edges
-                )
-            ]
-        )
-        evicted = _reconcile(instance, merged, capacities)
+        evicted = _reconcile(instance, merged, ledger.capacities)
         if not evicted:
             return ()
         evicted_set = set(evicted)

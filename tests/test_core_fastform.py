@@ -162,14 +162,22 @@ class TestZeroCopyRestrict:
     @fuzz_settings
     def test_restrict_shares_parent_state(self, instance):
         compiler = instance.formulation_compiler()
-        batch = instance.batch_compiler()
-        sub = instance.restrict(instance.requests.request_ids[:1])
+        ids = instance.requests.request_ids
+        table = instance.incidence(ids)
+        sub = instance.restrict(ids[:1])
+        repriced = instance.reprice(instance.prices + 1.0)
         assert sub.topology is instance.topology
         assert sub.edges is instance.edges
         assert sub.edge_index is instance.edge_index
         assert sub.prices is instance.prices
         assert sub.formulation_compiler() is compiler
-        assert sub.batch_compiler() is batch
+        # The repriced view compiles against its own prices...
+        assert repriced.formulation_compiler() is not compiler
+        # ...from the same incidence, which restrict and reprice share.
+        assert sub.incidence(ids[:1])[0] is table[0]
+        assert all(
+            got is want for got, want in zip(repriced.incidence(ids), table)
+        )
         rid = sub.requests.request_ids[0]
         for got, want in zip(sub.path_edges[rid], instance.path_edges[rid]):
             assert got is want

@@ -313,17 +313,23 @@ class TestRestrictEdgeCases:
 
     def test_restrict_of_restrict_shares_both_compilers(self):
         instance = _instance(12)
-        # Materialize both lazily-built compilers on the root.
+        # Materialize the compiler and the incidence table on the root.
         root_form = instance.formulation_compiler()
-        root_batch = instance.batch_compiler()
         ids = [req.request_id for req in instance.requests]
+        root_table = instance.incidence(ids)
         child = instance.restrict(ids[:8])
         grandchild = child.restrict(ids[:3])
+        # A dual-steered shard solves a repriced restricted view.
+        steered = grandchild.reprice(instance.prices * 2.0)
         for view in (child, grandchild):
             assert view.formulation_compiler() is root_form
-            assert view.batch_compiler() is root_batch
             assert view.prices is instance.prices
             assert view.edge_index is instance.edge_index
+        for view in (child, grandchild, steered):
+            assert all(
+                got is want
+                for got, want in zip(view.incidence(ids[:3]), root_table)
+            )
         assert [r.request_id for r in grandchild.requests] == ids[:3]
         # The shared compiler still solves the narrowed view correctly.
         schedule = solve_exact(grandchild)

@@ -1,9 +1,9 @@
 """Tests for repro.lp.fastbuild — array-native COO compilation.
 
 The load-bearing property is *bitwise* equivalence: the serving fast path
-(:class:`~repro.core.online.IncrementalBatchCompiler`) must hand HiGHS the
-exact same matrix as compiling :func:`build_incremental_spm`, so decisions
-are identical by construction, not merely equal-objective.
+(:meth:`~repro.core.fastform.FormulationCompiler.compile_batch`) must hand
+HiGHS the exact same matrix as compiling :func:`build_incremental_spm`, so
+decisions are identical by construction, not merely equal-objective.
 """
 
 import numpy as np
@@ -148,12 +148,12 @@ fuzz_settings = settings(
 class TestBatchCompilerEquivalence:
     """Fast-path batch MILPs replayed against the expression reference."""
 
-    @given(random_instance())
-    @fuzz_settings
-    def test_bitwise_identical_models_and_decisions(self, instance):
+    @staticmethod
+    def _replay(instance):
+        """Compile, compare and decide every arrival batch in slot order."""
         committed = np.zeros((instance.num_edges, instance.num_slots))
         charged = np.zeros(instance.num_edges)
-        compiler = instance.batch_compiler()
+        compiler = instance.formulation_compiler()
 
         by_start: dict[int, list[int]] = {}
         for req in instance.requests:
@@ -165,7 +165,7 @@ class TestBatchCompilerEquivalence:
                 instance, batch, committed, charged
             )[0].compile()
             fast, x_offsets = compiler.compile_batch(
-                batch, committed, charged
+                instance, batch, committed, charged
             )
 
             assert np.array_equal(ref.c, fast.c)
@@ -180,9 +180,11 @@ class TestBatchCompilerEquivalence:
             assert np.array_equal(ref_a.indptr, fast.a_matrix.indptr)
             assert np.array_equal(ref_a.indices, fast.a_matrix.indices)
             assert np.array_equal(ref_a.data, fast.a_matrix.data)
-            assert int(x_offsets[-1]) == sum(
-                instance.num_paths(rid) for rid in batch
-            )
+            num_x = sum(instance.num_paths(rid) for rid in batch)
+            assert int(x_offsets[-1]) == num_x
+            # The extra-unit columns are never capped: a link ceiling
+            # bounds total bandwidth, not the units bought in one batch.
+            assert np.all(np.isposinf(fast.var_upper[num_x:]))
 
             d_fast = solve_batch(
                 instance, batch, committed, charged, fast_path=True
@@ -198,3 +200,18 @@ class TestBatchCompilerEquivalence:
             commit_decision(
                 instance, batch, list(d_fast.choices), committed, charged
             )
+
+    @given(random_instance())
+    @fuzz_settings
+    def test_bitwise_identical_models_and_decisions(self, instance):
+        self._replay(instance)
+
+    @given(random_instance())
+    @fuzz_settings
+    def test_capped_topology_keeps_extra_columns_unbounded(self, instance):
+        instance.topology.set_uniform_capacity(1)
+        # The same compiler bounds the full SPM's c columns by the ceiling,
+        # so a batch build that reused those bounds would differ here.
+        spm = instance.formulation_compiler().compile_spm(instance)
+        assert np.all(spm.compiled.var_upper[spm.num_x :] == 1.0)
+        self._replay(instance)
